@@ -19,12 +19,14 @@ from . import dsl, game, gen, logic, oracle
 from .model import ContractSpec, SpecError
 
 
-def _read_spec(path: str) -> ContractSpec:
+def _read_text(path: str) -> str:
     if path == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    return dsl.parse(text)
+        return sys.stdin.read()
+    return Path(path).read_text(encoding="utf-8")
+
+
+def _read_spec(path: str) -> ContractSpec:
+    return dsl.parse(_read_text(path))
 
 
 def _event_list(text: str) -> tuple[str, ...]:
@@ -50,19 +52,11 @@ def _fmt_set(events: frozenset[str]) -> str:
     return " ".join(sorted(events)) if events else "(empty)"
 
 
-def _set_lines(events: frozenset[str]) -> list[str]:
-    return sorted(events)
-
-
 # --- commands --------------------------------------------------------------
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(args.file).read_text(encoding="utf-8")
-    spec, diags = dsl.analyze(text)
+    spec, diags = dsl.analyze(_read_text(args.file))
     ok = spec is not None
     payload = {
         "ok": ok,
@@ -77,8 +71,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_prove(args: argparse.Namespace) -> int:
     theory = logic.theory_of(_read_spec(args.file))
-    provable = logic.provable_atoms(theory)
-    _emit({"provable": sorted(provable)}, args, _set_lines(provable))
+    provable = sorted(logic.provable_atoms(theory))
+    _emit({"provable": provable}, args, provable)
     return 0
 
 
@@ -102,22 +96,22 @@ def _cmd_check_trace(args: argparse.Namespace) -> int:
 
 def _cmd_urgent(args: argparse.Namespace) -> int:
     theory = logic.theory_of(_read_spec(args.file))
-    urgent = logic.urgent_atoms(theory, _event_list(args.past))
-    _emit({"urgent": sorted(urgent)}, args, _set_lines(urgent))
+    urgent = sorted(logic.urgent_atoms(theory, _event_list(args.past)))
+    _emit({"urgent": urgent}, args, urgent)
     return 0
 
 
 def _cmd_prudent(args: argparse.Namespace) -> int:
     spec = _read_spec(args.file)
-    prudent = game.prudent_events(spec, _event_list(args.past))
-    _emit({"prudent": sorted(prudent)}, args, _set_lines(prudent))
+    prudent = sorted(game.prudent_events(spec, _event_list(args.past)))
+    _emit({"prudent": prudent}, args, prudent)
     return 0
 
 
 def _cmd_reachable(args: argparse.Namespace) -> int:
     spec = _read_spec(args.file)
-    reach = game.reachable(spec, _event_list(args.past))
-    _emit({"reachable": sorted(reach)}, args, _set_lines(reach))
+    reach = sorted(game.reachable(spec, _event_list(args.past)))
+    _emit({"reachable": reach}, args, reach)
     return 0
 
 
@@ -180,9 +174,9 @@ def _cmd_strategy(args: argparse.Namespace) -> int:
     spec = _read_spec(args.file)
     strat = game.synthesize_strategy(spec, args.participant)
     past = _event_list(args.past)
-    offers = strat.offers(past)
-    payload = {"participant": args.participant, "past": list(past), "offers": sorted(offers)}
-    _emit(payload, args, _set_lines(offers))
+    offers = sorted(strat.offers(past))
+    payload = {"participant": args.participant, "past": list(past), "offers": offers}
+    _emit(payload, args, offers)
     return 0
 
 
@@ -233,8 +227,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_oracle_prove(args: argparse.Namespace) -> int:
     theory = logic.theory_of(_read_spec(args.file))
-    provable = frozenset(a for a in theory.atoms if oracle.nd_provable(theory, a))
-    _emit({"provable": sorted(provable)}, args, _set_lines(provable))
+    provable = sorted(a for a in theory.atoms if oracle.nd_provable(theory, a))
+    _emit({"provable": provable}, args, provable)
     return 0
 
 
@@ -251,8 +245,8 @@ def _cmd_oracle_traces(args: argparse.Namespace) -> int:
 
 def _cmd_oracle_prudence(args: argparse.Namespace) -> int:
     spec = _read_spec(args.file)
-    prudent = oracle.prudence_bruteforce(spec, _event_list(args.past))
-    _emit({"prudent": sorted(prudent)}, args, _set_lines(prudent))
+    prudent = sorted(oracle.prudence_bruteforce(spec, _event_list(args.past)))
+    _emit({"prudent": prudent}, args, prudent)
     return 0
 
 

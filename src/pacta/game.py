@@ -14,7 +14,10 @@ routines:
 
 Iterating ``next_events`` from the empty set yields exactly the events of the
 contract that can be brought about by prudent cooperation, which is what the
-agreement check is built on.  All operations in this module work on finite
+agreement check is built on; ``provable`` gets the same set from a single
+``credit_closure`` of the empty set.  ``unjustified`` reads the credit ledger
+of a sequence, for ``credits`` here and for proof traces in
+:mod:`pacta.logic`.  All operations in this module work on finite
 plays.
 """
 
@@ -113,13 +116,30 @@ class RuleIndex:
         return frozenset(out)
 
     def provable(self) -> frozenset[str]:
-        """Least fixpoint of ``X ∪ next_events(X)`` from the empty set."""
-        done: frozenset[str] = frozenset()
-        while True:
-            step = self.next_events(done)
-            if not step:
-                return done
-            done |= step
+        """Least fixpoint of ``X ∪ next_events(X)`` from the empty set.
+
+        The fixpoint equals ``credit_closure(∅)``, everything obtainable from
+        nothing when credit is granted soundly, so one call computes it.
+        """
+        return frozenset(self.credit_closure(()))
+
+    def unjustified(self, seq: Sequence[str]) -> frozenset[str]:
+        """The final credit ledger of the duplicate-free sequence *seq*.
+
+        A step is justified by a standard body inside its past or by a
+        circular body inside the whole sequence; the rest stay on credit.
+        """
+        whole = frozenset(seq)
+        past: set[str] = set()
+        pending: set[str] = set()
+        for e in seq:
+            if not (
+                any(b <= past for b in self.std_bodies.get(e, ()))
+                or any(b <= whole for b in self.circ_bodies.get(e, ()))
+            ):
+                pending.add(e)
+            past.add(e)
+        return frozenset(pending)
 
 
 def _rules(spec: ContractSpec) -> RuleIndex:
@@ -202,20 +222,9 @@ def credits(spec: ContractSpec, play: Sequence[str]) -> CreditLedger:
     """Compute the credit ledger of *play* (conflicting specs are fine here)."""
     seq = check_play(spec, play)
     rules = _rules(spec)
-    out: list[frozenset[str]] = []
-    for i in range(len(seq) + 1):
-        whole = frozenset(seq[:i])
-        pending: set[str] = set()
-        for j in range(i):
-            e = seq[j]
-            past = frozenset(seq[:j])
-            justified = any(
-                b <= past for b in rules.std_bodies.get(e, ())
-            ) or any(b <= whole for b in rules.circ_bodies.get(e, ()))
-            if not justified:
-                pending.add(e)
-        out.append(frozenset(pending))
-    return CreditLedger(tuple(out))
+    return CreditLedger(
+        tuple(rules.unjustified(seq[:i]) for i in range(len(seq) + 1))
+    )
 
 
 def innocent(spec: ContractSpec, participant: str, play: Sequence[str]) -> bool:

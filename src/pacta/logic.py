@@ -12,6 +12,13 @@ takes a trace of the theory extended with the fact ``a``, checks the body is
 in it, and re-inserts ``a`` via interleaving — which is what lets ``a`` occur
 *before* its justification.
 
+The traces are computed from the game side instead: a sequence is a proof
+trace exactly when it is a prudent play of the theory (each atom is in
+``RuleIndex.next_events`` of the atoms before it) whose final credit ledger
+(``RuleIndex.unjustified``) is empty.  The interleaving definition survives
+as :func:`pacta.oracle.traces_bruteforce`, which the tests hold the fast
+path to.
+
 The urgency encoding compiles the question "which atom may be performed
 next?" into plain provability over a tagged alphabet: ``!a`` ("a was already
 performed"), ``R$a`` ("a is still obtainable"), ``U$a`` ("a can be performed
@@ -22,6 +29,7 @@ encoded theories can never collide with user input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .game import RuleIndex
@@ -104,62 +112,35 @@ def interleave(left: Sequence[str], right: Sequence[str]) -> frozenset[Trace]:
     a = _squeeze(left)
     b = _squeeze(right)
     out: set[Trace] = set()
-
-    def merge(i: int, j: int, acc: tuple[str, ...]) -> None:
-        if i == len(a) and j == len(b):
-            out.add(_squeeze(acc))
-            return
-        if i < len(a):
-            merge(i + 1, j, acc + (a[i],))
-        if j < len(b):
-            merge(i, j + 1, acc + (b[j],))
-
-    merge(0, 0, ())
+    stack: list[tuple[int, int, Trace]] = [(0, 0, ())]
+    while stack:
+        i, j, acc = stack.pop()
+        if i == len(a) or j == len(b):
+            out.add(_squeeze(acc + a[i:] + b[j:]))
+            continue
+        stack.append((i + 1, j, acc + (a[i],)))
+        stack.append((i, j + 1, acc + (b[j],)))
     return frozenset(out)
 
 
-def _saturate_traces(theory: HornTheory) -> set[Trace]:
-    """Full trace set of the theory, memoizing each fact-extension once."""
-    std_flat = [(c.body, c.head) for c in theory.clauses if c.kind == STANDARD]
-    circ_flat = [(c.body, c.head) for c in theory.clauses if c.kind == CIRCULAR]
-    cache: dict[frozenset[str], set[Trace]] = {}
+def iter_proof_traces(theory: HornTheory) -> Iterator[Trace]:
+    """Yield all proof traces in shortlex order, lazily.
 
-    def traces_for(facts: frozenset[str]) -> set[Trace]:
-        hit = cache.get(facts)
-        if hit is not None:
-            return hit
-        traces: set[Trace] = {()}
-        # Installing the live set up front makes the self-extension case
-        # (a circular head that is already a fact) iterate to a joint
-        # fixpoint instead of recursing forever; genuine extensions only
-        # ever look upward, at strictly larger fact sets.
-        cache[facts] = traces
-        rules = std_flat + [(frozenset(), a) for a in facts]
-        changed = True
-        while changed:
-            changed = False
-            for sigma in list(traces):
-                have = set(sigma)
-                for body, head in rules:
-                    if head not in have and body <= have:
-                        extended = sigma + (head,)
-                        if extended not in traces:
-                            traces.add(extended)
-                            changed = True
-            for body, head in circ_flat:
-                for tau in list(traces_for(facts | {head})):
-                    if body <= set(tau):
-                        for merged in interleave(tau, (head,)):
-                            if merged not in traces:
-                                traces.add(merged)
-                                changed = True
-        return traces
-
-    return traces_for(frozenset())
-
-
-def _shortlex(trace: Trace) -> tuple[int, Trace]:
-    return (len(trace), trace)
+    Walks the prudent plays level by level: each play of length *k* is
+    extended by its prudent next atoms in sorted order, so every level comes
+    out lexicographically sorted.  Plays with an empty credit ledger are
+    the traces.
+    """
+    rules = RuleIndex(theory.atoms, theory.clauses)
+    level: list[Trace] = [()]
+    while level:
+        longer: list[Trace] = []
+        for play in level:
+            if not rules.unjustified(play):
+                yield play
+            for a in sorted(rules.next_events(frozenset(play))):
+                longer.append(play + (a,))
+        level = longer
 
 
 def proof_traces(theory: HornTheory, max_count: int | None = None) -> frozenset[Trace]:
@@ -170,24 +151,27 @@ def proof_traces(theory: HornTheory, max_count: int | None = None) -> frozenset[
     """
     if max_count is not None and max_count < 0:
         raise PreconditionError("max_count must be non-negative")
-    all_traces = _saturate_traces(theory)
-    if max_count is None:
-        return frozenset(all_traces)
-    return frozenset(sorted(all_traces, key=_shortlex)[:max_count])
-
-
-def iter_proof_traces(theory: HornTheory) -> Iterator[Trace]:
-    """Yield all proof traces in shortlex order (saturates up front)."""
-    yield from sorted(_saturate_traces(theory), key=_shortlex)
+    return frozenset(islice(iter_proof_traces(theory), max_count))
 
 
 def is_proof_trace(theory: HornTheory, trace: Sequence[str]) -> bool:
-    """Membership in the trace set; unknown atoms are a precondition error."""
+    """Membership in the trace set, decided as a prudent play with an empty
+    credit ledger.
+
+    Unknown atoms are a precondition error; a sequence that repeats an atom
+    is not a trace.
+    """
     seq = tuple(trace)
     unknown = frozenset(seq) - theory.atoms
     if unknown:
         raise PreconditionError(f"unknown atoms: {', '.join(sorted(unknown))}")
-    return seq in _saturate_traces(theory)
+    rules = RuleIndex(theory.atoms, theory.clauses)
+    done: frozenset[str] = frozenset()
+    for a in seq:
+        if a not in rules.next_events(done):
+            return False
+        done |= {a}
+    return not rules.unjustified(seq)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ These are the arbiters the fast algorithms in :mod:`pacta.game` and
   introduction/elimination rules directly (assumption sets grow for the
   premise of a circular implication);
 * :func:`traces_bruteforce` — the trace semantics computed by naive
-  saturation with no sharing between subtheories;
+  saturation straight from the interleaving definition;
 * :func:`prudence_bruteforce` — prudence read off the full game tree: an
   event is prudent when, against arbitrary opponent behaviour, its owner can
   always bring its credits back without relying on anyone else.
@@ -19,6 +19,7 @@ obviously correct, not fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .model import (
     CIRCULAR,
@@ -152,13 +153,14 @@ def check_derivation(theory: HornTheory, deriv: Derivation) -> bool:
 
 
 def traces_bruteforce(theory: HornTheory) -> frozenset[Trace]:
-    """Trace semantics by plain saturation; subtheories are recomputed on
-    every pass rather than shared.  Guarded at 8 atoms."""
+    """Trace semantics by plain saturation, each fact-extended subtheory
+    saturated once per call.  Guarded at 8 atoms."""
     if len(theory.atoms) > 8:
         raise PreconditionError("traces_bruteforce supports at most 8 atoms")
     std_flat = [(c.body, c.head) for c in theory.clauses if c.kind == STANDARD]
     circ_flat = [(c.body, c.head) for c in theory.clauses if c.kind == CIRCULAR]
 
+    @lru_cache(maxsize=None)
     def saturate(facts: frozenset[str]) -> set[Trace]:
         rules = std_flat + [(frozenset(), a) for a in facts]
         traces: set[Trace] = {()}
@@ -175,7 +177,7 @@ def traces_bruteforce(theory: HornTheory) -> frozenset[Trace]:
                             changed = True
             for body, head in circ_flat:
                 # Adding an already-present fact changes nothing, so the
-                # subtheory is this one; otherwise recompute it from scratch.
+                # subtheory is this one; otherwise it has strictly more facts.
                 sub = traces if head in facts else saturate(facts | {head})
                 for tau in list(sub):
                     if body <= set(tau):

@@ -21,8 +21,11 @@ from pacta import (
     credits,
     encode_urgency,
     interleave,
+    is_proof_trace,
     is_prudent_play,
+    iter_proof_traces,
     nd_provable,
+    print_spec,
     proof_traces,
     provable_atoms,
     provable_events,
@@ -33,8 +36,10 @@ from pacta import (
     spec_of,
     std,
     synthesize_strategy,
+    traces_bruteforce,
     urgent_atoms,
 )
+from pacta.cli import main
 from pacta.gen import _neighbours
 
 from helpers import (
@@ -301,3 +306,44 @@ def test_c10_interleaving_squeezes_shared_atoms():
         ("a", "c", "b"),
         ("c", "a", "b"),
     }
+
+
+def shortlex(trace):
+    return (len(trace), trace)
+
+
+def standard_chain(n):
+    """``s0`` is a fact and each ``s(k+1)`` needs ``sk``: n + 1 traces."""
+    atoms = [f"s{k}" for k in range(n)]
+    return HornTheory.of(
+        [std(atoms[0])] + [std(b, a) for a, b in zip(atoms, atoms[1:])]
+    )
+
+
+def test_c11_proof_traces_are_the_prudent_plays_with_empty_ledgers():
+    slot, sparse = exhaustive_families()
+    for th in itertools.chain(slot, sparse):
+        brute = traces_bruteforce(th)
+        assert proof_traces(th) == brute, th
+        assert list(iter_proof_traces(th)) == sorted(brute, key=shortlex), th
+        for k in range(len(th.atoms) + 1):
+            for seq in itertools.permutations(sorted(th.atoms), k):
+                assert is_proof_trace(th, seq) == (seq in brute), (th, seq)
+
+    # A repeated atom is a plain "no", even right after a genuine trace.
+    assert not is_proof_trace(delta1(), ("a", "a"))
+    assert not is_proof_trace(delta4(), ("a", "b", "a"))
+
+
+def test_c12_trace_queries_on_long_chains_cost_about_their_answer(tmp_path, capsys):
+    chain = standard_chain(1_100)
+    path = tmp_path / "chain.ces"
+    path.write_text(print_spec(spec_of(chain)), encoding="utf-8")
+    whole = ",".join(f"s{k}" for k in range(1_100))
+    with budget(20):
+        assert main(["check-trace", str(path), "--trace", whole]) == 0
+    assert capsys.readouterr().out == "yes\n"
+
+    with budget(1):
+        first = list(itertools.islice(iter_proof_traces(standard_chain(1_000)), 10))
+    assert first == [tuple(f"s{k}" for k in range(i)) for i in range(10)]

@@ -87,6 +87,12 @@ class TestInterleave:
             assert set(merged) == set("abcd")
         assert interleave("ab", "cd") == interleave("cd", "ab")
 
+    def test_long_operand_does_not_exhaust_the_stack(self):
+        left = tuple(f"a{i}" for i in range(1_200))
+        assert interleave(left, ("z",)) == frozenset(
+            left[:i] + ("z",) + left[i:] for i in range(1_201)
+        )
+
 
 class TestProofTraces:
     def test_fixture_trace_sets(self):
