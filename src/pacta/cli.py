@@ -52,6 +52,24 @@ def _fmt_set(events: frozenset[str]) -> str:
     return " ".join(sorted(events)) if events else "(empty)"
 
 
+def _emit_set(args: argparse.Namespace, key: str, items: frozenset[str]) -> int:
+    """Emit a set one item per line (text) or as ``{key: [...]}`` (JSON)."""
+    ordered = sorted(items)
+    _emit({key: ordered}, args, ordered)
+    return 0
+
+
+def _emit_traces(args: argparse.Namespace, traces: frozenset[tuple[str, ...]]) -> int:
+    """Emit traces in shortlex order, one per line or as ``{"traces": [...]}``."""
+    ordered = sorted(traces, key=lambda t: (len(t), t))
+    _emit(
+        {"traces": [list(t) for t in ordered]},
+        args,
+        [" ".join(t) if t else "(empty)" for t in ordered],
+    )
+    return 0
+
+
 # --- commands --------------------------------------------------------------
 
 
@@ -71,20 +89,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_prove(args: argparse.Namespace) -> int:
     theory = logic.theory_of(_read_spec(args.file))
-    provable = sorted(logic.provable_atoms(theory))
-    _emit({"provable": provable}, args, provable)
-    return 0
+    return _emit_set(args, "provable", logic.provable_atoms(theory))
 
 
 def _cmd_traces(args: argparse.Namespace) -> int:
     theory = logic.theory_of(_read_spec(args.file))
-    traces = sorted(logic.proof_traces(theory, max_count=args.max), key=lambda t: (len(t), t))
-    _emit(
-        {"traces": [list(t) for t in traces]},
-        args,
-        [" ".join(t) if t else "(empty)" for t in traces],
-    )
-    return 0
+    return _emit_traces(args, logic.proof_traces(theory, max_count=args.max))
 
 
 def _cmd_check_trace(args: argparse.Namespace) -> int:
@@ -96,23 +106,17 @@ def _cmd_check_trace(args: argparse.Namespace) -> int:
 
 def _cmd_urgent(args: argparse.Namespace) -> int:
     theory = logic.theory_of(_read_spec(args.file))
-    urgent = sorted(logic.urgent_atoms(theory, _event_list(args.past)))
-    _emit({"urgent": urgent}, args, urgent)
-    return 0
+    return _emit_set(args, "urgent", logic.urgent_atoms(theory, _event_list(args.past)))
 
 
 def _cmd_prudent(args: argparse.Namespace) -> int:
     spec = _read_spec(args.file)
-    prudent = sorted(game.prudent_events(spec, _event_list(args.past)))
-    _emit({"prudent": prudent}, args, prudent)
-    return 0
+    return _emit_set(args, "prudent", game.prudent_events(spec, _event_list(args.past)))
 
 
 def _cmd_reachable(args: argparse.Namespace) -> int:
     spec = _read_spec(args.file)
-    reach = sorted(game.reachable(spec, _event_list(args.past)))
-    _emit({"reachable": reach}, args, reach)
-    return 0
+    return _emit_set(args, "reachable", game.reachable(spec, _event_list(args.past)))
 
 
 def _cmd_credits(args: argparse.Namespace) -> int:
@@ -227,27 +231,18 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_oracle_prove(args: argparse.Namespace) -> int:
     theory = logic.theory_of(_read_spec(args.file))
-    provable = sorted(a for a in theory.atoms if oracle.nd_provable(theory, a))
-    _emit({"provable": provable}, args, provable)
-    return 0
+    provable = frozenset(a for a in theory.atoms if oracle.nd_provable(theory, a))
+    return _emit_set(args, "provable", provable)
 
 
 def _cmd_oracle_traces(args: argparse.Namespace) -> int:
     theory = logic.theory_of(_read_spec(args.file))
-    traces = sorted(oracle.traces_bruteforce(theory), key=lambda t: (len(t), t))
-    _emit(
-        {"traces": [list(t) for t in traces]},
-        args,
-        [" ".join(t) if t else "(empty)" for t in traces],
-    )
-    return 0
+    return _emit_traces(args, oracle.traces_bruteforce(theory))
 
 
 def _cmd_oracle_prudence(args: argparse.Namespace) -> int:
     spec = _read_spec(args.file)
-    prudent = sorted(oracle.prudence_bruteforce(spec, _event_list(args.past)))
-    _emit({"prudent": prudent}, args, prudent)
-    return 0
+    return _emit_set(args, "prudent", oracle.prudence_bruteforce(spec, _event_list(args.past)))
 
 
 # --- parser ----------------------------------------------------------------

@@ -15,10 +15,10 @@ routines:
 Iterating ``next_events`` from the empty set yields exactly the events of the
 contract that can be brought about by prudent cooperation, which is what the
 agreement check is built on; ``provable`` gets the same set from a single
-``credit_closure`` of the empty set.  ``unjustified`` reads the credit ledger
-of a sequence, for ``credits`` here and for proof traces in
-:mod:`pacta.logic`.  All operations in this module work on finite
-plays.
+``credit_closure`` of the empty set.  ``prudent`` checks a whole play step
+by step against ``next_events``, and ``unjustified`` reads the credit ledger
+of a sequence; both serve the game queries here and proof traces in
+:mod:`pacta.logic`.  All operations in this module work on finite plays.
 """
 
 from __future__ import annotations
@@ -123,6 +123,18 @@ class RuleIndex:
         """
         return frozenset(self.credit_closure(()))
 
+    def prudent(self, seq: Sequence[str]) -> bool:
+        """Is every step of *seq* in ``next_events`` of the steps before it?
+
+        A repeated step never is: a done event is never next.
+        """
+        done: frozenset[str] = frozenset()
+        for e in seq:
+            if e not in self.next_events(done):
+                return False
+            done |= {e}
+        return True
+
     def unjustified(self, seq: Sequence[str]) -> frozenset[str]:
         """The final credit ledger of the duplicate-free sequence *seq*.
 
@@ -185,14 +197,7 @@ def prudent_events(spec: ContractSpec, done: Iterable[str]) -> frozenset[str]:
 def is_prudent_play(spec: ContractSpec, play: Sequence[str]) -> bool:
     """True when every step of *play* is prudent at the moment it is taken."""
     _require_conflict_free(spec, "is_prudent_play")
-    seq = check_play(spec, play)
-    rules = _rules(spec)
-    done: frozenset[str] = frozenset()
-    for e in seq:
-        if e not in rules.next_events(done):
-            return False
-        done |= {e}
-    return True
+    return _rules(spec).prudent(check_play(spec, play))
 
 
 def provable_events(spec: ContractSpec) -> frozenset[str]:
@@ -239,7 +244,8 @@ def innocent(spec: ContractSpec, participant: str, play: Sequence[str]) -> bool:
 def credit_free(spec: ContractSpec, participant: str, play: Sequence[str]) -> bool:
     """None of *participant*'s events remain on credit after *play*."""
     _require_participant(spec, participant)
-    return not (credits(spec, play).final & spec.owned_by(participant))
+    final = _rules(spec).unjustified(check_play(spec, play))
+    return not (final & spec.owned_by(participant))
 
 
 @dataclass(frozen=True)
@@ -258,21 +264,25 @@ class GameVerdict:
 
 
 def _verdict_rows(
-    spec: ContractSpec, seq: tuple[str, ...]
+    spec: ContractSpec, seq: tuple[str, ...], participants: Iterable[str]
 ) -> dict[str, ParticipantVerdict]:
+    """The verdict row of each of *participants* after the finished play *seq*.
+
+    A participant is innocent when none of its events is still prudent and
+    credit-free when none is left on credit.  It wins when it is innocent and
+    either someone else is not, or it is credit-free and its payoff holds.
+    """
     rules = _rules(spec)
     done = frozenset(seq)
-    pending = rules.next_events(done)
-    final_credits = credits(spec, seq).final
-    inn = {p: not (pending & spec.owned_by(p)) for p in spec.participants}
+    culprits = {spec.owner.get(e) for e in rules.next_events(done)}
+    final = rules.unjustified(seq)
     rows: dict[str, ParticipantVerdict] = {}
-    for p in sorted(spec.participants):
-        cf = not (final_credits & spec.owned_by(p))
-        others_culpable = any(not inn[q] for q in spec.participants if q != p)
-        won = inn[p] and (
-            others_culpable or (spec.payoffs[p].holds(done) and cf)
-        )
-        rows[p] = ParticipantVerdict(innocent=inn[p], credit_free=cf, wins=won)
+    for p in sorted(participants):
+        inn = p not in culprits
+        cf = not (final & spec.owned_by(p))
+        others_culpable = any(q in culprits for q in spec.participants if q != p)
+        won = inn and (others_culpable or (cf and spec.payoffs[p].holds(done)))
+        rows[p] = ParticipantVerdict(innocent=inn, credit_free=cf, wins=won)
     return rows
 
 
@@ -289,7 +299,7 @@ def verdict(spec: ContractSpec, play: Sequence[str]) -> GameVerdict:
     _require_conflict_free(spec, "verdict")
     _require_total_payoffs(spec, "verdict")
     seq = check_play(spec, play)
-    return GameVerdict(play=seq, participants=_verdict_rows(spec, seq))
+    return GameVerdict(play=seq, participants=_verdict_rows(spec, seq, spec.participants))
 
 
 def wins(spec: ContractSpec, participant: str, play: Sequence[str]) -> bool:
@@ -303,18 +313,7 @@ def wins(spec: ContractSpec, participant: str, play: Sequence[str]) -> bool:
     if participant not in spec.payoffs:
         raise PreconditionError(f"participant {participant!r} has no payoff")
     seq = check_play(spec, play)
-    rules = _rules(spec)
-    done = frozenset(seq)
-    pending = rules.next_events(done)
-    if pending & spec.owned_by(participant):
-        return False
-    others_culpable = any(
-        pending & spec.owned_by(q) for q in spec.participants if q != participant
-    )
-    if others_culpable:
-        return True
-    cf = not (credits(spec, seq).final & spec.owned_by(participant))
-    return cf and spec.payoffs[participant].holds(done)
+    return _verdict_rows(spec, seq, (participant,))[participant].wins
 
 
 def agreement(spec: ContractSpec) -> bool:
@@ -408,4 +407,4 @@ def simulate(
         step += 1
 
     seq = tuple(play)
-    return seq, GameVerdict(play=seq, participants=_verdict_rows(spec, seq))
+    return seq, GameVerdict(play=seq, participants=_verdict_rows(spec, seq, spec.participants))

@@ -23,7 +23,11 @@ The urgency encoding compiles the question "which atom may be performed
 next?" into plain provability over a tagged alphabet: ``!a`` ("a was already
 performed"), ``R$a`` ("a is still obtainable"), ``U$a`` ("a can be performed
 now").  The tag spellings are outside the identifier grammar of the DSL, so
-encoded theories can never collide with user input.
+encoded theories can never collide with user input.  :func:`urgent_atoms`
+and :func:`reach_atoms` do not go through the encoding: they read the game
+fixpoint (``RuleIndex.next_events`` and ``RuleIndex.provable``), and the
+encoding's theorem, that its ``U$``/``R$`` tags give the same answers, is
+what the acceptance tests hold :func:`encode_urgency` to.
 """
 
 from __future__ import annotations
@@ -166,12 +170,7 @@ def is_proof_trace(theory: HornTheory, trace: Sequence[str]) -> bool:
     if unknown:
         raise PreconditionError(f"unknown atoms: {', '.join(sorted(unknown))}")
     rules = RuleIndex(theory.atoms, theory.clauses)
-    done: frozenset[str] = frozenset()
-    for a in seq:
-        if a not in rules.next_events(done):
-            return False
-        done |= {a}
-    return not rules.unjustified(seq)
+    return rules.prudent(seq) and not rules.unjustified(seq)
 
 
 # ---------------------------------------------------------------------------
@@ -239,23 +238,25 @@ def encode_urgency(theory: HornTheory) -> HornTheory:
 
 
 def urgent_atoms(theory: HornTheory, done: Iterable[str]) -> frozenset[str]:
-    """Atoms performable right after the atoms in *done*, via the encoding."""
+    """Atoms performable right after the atoms in *done*.
+
+    Answered by the game fixpoint, ``RuleIndex.next_events``.  The theorem of
+    the encoding is that these are exactly the atoms whose ``U$`` tag
+    :func:`encode_urgency` makes provable once the past is marked done;
+    ``test_c07``/``test_c08`` hold the encoding to it.
+    """
     performed = frozenset(done)
     unknown = performed - theory.atoms
     if unknown:
         raise PreconditionError(f"unknown atoms: {', '.join(sorted(unknown))}")
-    enc = encode_urgency(theory)
-    facts = frozenset(
-        Clause(mark_done(a), frozenset(), STANDARD) for a in performed
-    )
-    provable = RuleIndex(enc.atoms, enc.clauses | facts).provable()
-    return frozenset(
-        a for a in theory.atoms - performed if mark_urgent(a) in provable
-    )
+    return RuleIndex(theory.atoms, theory.clauses).next_events(performed)
 
 
 def reach_atoms(theory: HornTheory) -> frozenset[str]:
-    """Atoms that occur in at least one proof trace, via the encoding."""
-    enc = encode_urgency(theory)
-    provable = RuleIndex(enc.atoms, enc.clauses).provable()
-    return frozenset(a for a in theory.atoms if mark_reachable(a) in provable)
+    """Atoms that occur in at least one proof trace: the provable atoms.
+
+    The theorem of the encoding is that these are exactly the atoms whose
+    ``R$`` tag :func:`encode_urgency` makes provable; ``test_c08`` holds the
+    encoding to it.
+    """
+    return provable_atoms(theory)

@@ -14,12 +14,17 @@ import time
 from contextlib import contextmanager
 from functools import lru_cache
 
+import pytest
+
 from pacta import (
     CIRCULAR,
     HornTheory,
+    PreconditionError,
     agreement,
+    credit_free,
     credits,
     encode_urgency,
+    innocent,
     interleave,
     is_proof_trace,
     is_prudent_play,
@@ -31,6 +36,7 @@ from pacta import (
     provable_events,
     prudence_table,
     prudent_events,
+    reach_atoms,
     shy_dancers,
     simulate,
     spec_of,
@@ -38,9 +44,13 @@ from pacta import (
     synthesize_strategy,
     traces_bruteforce,
     urgent_atoms,
+    verdict,
+    wins,
 )
 from pacta.cli import main
 from pacta.gen import _neighbours
+from pacta.logic import mark_done, mark_reachable, mark_urgent
+from pacta.oracle import _final_credits
 
 from helpers import (
     STAR_CLAUSES,
@@ -55,6 +65,7 @@ from helpers import (
     delta4,
     e5,
     or_payoffs_spec,
+    random_spec,
     random_theory,
     single_slot_family,
     sparse_family,
@@ -104,6 +115,14 @@ def trace_next(theory, done):
             if atom not in done and set(tr[:i]) <= done:
                 out.add(atom)
     return frozenset(out)
+
+
+def tagged_urgent(enc, atoms, past):
+    """Atoms outside *past* whose ``U$`` tag the encoding *enc* proves once
+    every atom of *past* is marked done."""
+    ext = HornTheory(enc.atoms, frozenset(enc.clauses) | {std(mark_done(a)) for a in past})
+    provable = provable_atoms(ext)
+    return frozenset(a for a in atoms - past if mark_urgent(a) in provable)
 
 
 def ledger(spec, play):
@@ -217,13 +236,14 @@ def test_c07_prudence_urgency_and_bruteforce_coincide():
     # the tag encoding, and the full game-tree table.
     for th in itertools.chain(slot, sparse, random_theories()):
         spec = spec_of(th)
+        enc = encode_urgency(th)
         by_set = {}
         for play, brute in prudence_table(spec).items():
             past = frozenset(play)
             pe = by_set.get(past)
             if pe is None:
                 pe = prudent_events(spec, past)
-                assert pe == urgent_atoms(th, past), (th, past)
+                assert pe == tagged_urgent(enc, th.atoms, past), (th, past)
                 by_set[past] = pe
             assert brute == pe, (th, play)
 
@@ -241,11 +261,6 @@ def test_c07_prudence_urgency_and_bruteforce_coincide():
 
 def test_c08_urgency_encoding_theorem_holds():
     slot, sparse = exhaustive_families()
-
-    def tagged_urgent(enc, atoms, past):
-        ext = HornTheory(enc.atoms, frozenset(enc.clauses) | {std("!" + a) for a in past})
-        provable = provable_atoms(ext)
-        return f(a for a in atoms - past if "U$" + a in provable)
 
     # An atom is urgent exactly when its U$ tag becomes provable after
     # marking the past done — checked against the game-side fixpoint on
@@ -268,11 +283,11 @@ def test_c08_urgency_encoding_theorem_holds():
 
     # The R$ tags answer reachability: exactly the atoms occurring in at
     # least one proof trace.
-    from pacta import reach_atoms
-
     for th in itertools.chain(slot, sparse):
-        traced = {a for tr in proof_traces(th) for a in tr}
-        assert reach_atoms(th) == f(traced), th
+        traced = f(a for tr in proof_traces(th) for a in tr)
+        assert reach_atoms(th) == traced, th
+        tags = provable_atoms(encode_urgency(th))
+        assert f(a for a in th.atoms if mark_reachable(a) in tags) == traced, th
 
 
 def test_c09_synthesized_strategies_win_everywhere_iff_agreement():
@@ -347,3 +362,56 @@ def test_c12_trace_queries_on_long_chains_cost_about_their_answer(tmp_path, caps
     with budget(1):
         first = list(itertools.islice(iter_proof_traces(standard_chain(1_000)), 10))
     assert first == [tuple(f"s{k}" for k in range(i)) for i in range(10)]
+
+
+def oracle_rows(spec, play, pending, final):
+    """``(innocent, credit_free, wins)`` of every participant, from the
+    definition; ``wins`` is None for a participant without a payoff.
+
+    *pending* is the game-tree prudence table's entry for *play* and *final*
+    the oracle's credit ledger of it.
+    """
+    done = frozenset(play)
+    culpable = {q for q in spec.participants if pending & spec.owned_by(q)}
+    rows = {}
+    for p in spec.participants:
+        inn = p not in culpable
+        cf = not (final & spec.owned_by(p))
+        payoff = spec.payoffs.get(p)
+        won = None
+        if payoff is not None:
+            won = inn and (bool(culpable - {p}) or (cf and payoff.holds(done)))
+        rows[p] = (inn, cf, won)
+    return rows
+
+
+def test_c13_verdicts_match_the_oracles_on_multi_party_specs():
+    rng = random.Random(20261018)
+    partial = parties = 0
+    for _ in range(500):
+        spec = random_spec(rng, max_events=5)
+        total = set(spec.payoffs) == spec.participants
+        partial += not total
+        parties = max(parties, len(spec.participants))
+        table = prudence_table(spec)
+        for play, pending in table.items():
+            rows = oracle_rows(spec, play, pending, _final_credits(spec, play))
+            for p, (inn, cf, won) in rows.items():
+                assert innocent(spec, p, play) == inn, (spec, play, p)
+                assert credit_free(spec, p, play) == cf, (spec, play, p)
+                if won is None:
+                    with pytest.raises(PreconditionError, match="no payoff"):
+                        wins(spec, p, play)
+                else:
+                    assert wins(spec, p, play) == won, (spec, play, p)
+            if total:
+                got = verdict(spec, play).participants
+                assert {
+                    p: (r.innocent, r.credit_free, r.wins) for p, r in got.items()
+                } == rows, (spec, play)
+            else:
+                with pytest.raises(PreconditionError, match="payoff"):
+                    verdict(spec, play)
+            prudent = all(play[i] in table[play[:i]] for i in range(len(play)))
+            assert is_prudent_play(spec, play) == prudent, (spec, play)
+    assert partial and parties == 3

@@ -13,6 +13,7 @@ from pacta import (
     iter_proof_traces,
     proof_traces,
     provable_atoms,
+    prudent_events,
     reach_atoms,
     spec_of,
     std,
@@ -189,3 +190,15 @@ class TestUrgencyEncoding:
         assert reach_atoms(delta2()) == frozenset()
         assert reach_atoms(HornTheory.of([std("a", "b")])) == frozenset()
         assert reach_atoms(star_theory()) == star_theory().atoms
+
+    def test_urgency_queries_answer_on_tag_namespace_atoms(self):
+        # urgent_atoms/reach_atoms read the game fixpoint and never encode,
+        # so only encode_urgency objects to atoms in the tag namespace.
+        th = HornTheory.of([std("U$x"), circ("b", "U$x"), std("c", "b")])
+        spec = spec_of(th)
+        assert urgent_atoms(th, ()) == frozenset({"U$x", "b"})
+        for past in ((), ("U$x",), ("b",), ("U$x", "b")):
+            assert urgent_atoms(th, past) == prudent_events(spec, past)
+        assert reach_atoms(th) == provable_atoms(th) == th.atoms
+        with pytest.raises(PreconditionError, match="tag namespace"):
+            encode_urgency(th)
