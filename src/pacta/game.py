@@ -18,7 +18,9 @@ agreement check is built on; ``provable`` gets the same set from a single
 ``credit_closure`` of the empty set.  ``prudent`` checks a whole play step
 by step against ``next_events``, and ``unjustified`` reads the credit ledger
 of a sequence; both serve the game queries here and proof traces in
-:mod:`pacta.logic`.  All operations in this module work on finite plays.
+:mod:`pacta.logic`.  Each spec value builds its index once and every
+query on it shares that one (:func:`_rules`).  All operations in this module
+work on finite plays.
 """
 
 from __future__ import annotations
@@ -43,40 +45,62 @@ from .model import (
 
 
 class RuleIndex:
-    """Clause tables keyed by head, shared by the game and logic layers."""
+    """Clause tables keyed by head, shared by the game and logic layers.
 
-    __slots__ = ("universe", "std_bodies", "circ_bodies", "_flat_std", "_heads")
+    The standard clauses are also compiled once into the counter tables that
+    ``closure`` runs on, so each fixpoint call only copies a list of counts.
+    """
+
+    __slots__ = (
+        "universe",
+        "std_bodies",
+        "circ_bodies",
+        "_heads",
+        "_by_atom",
+        "_need",
+        "_std_heads",
+        "_facts",
+        "_last_next",
+    )
 
     def __init__(self, universe: Iterable[str], clauses: Iterable[Clause]):
         self.universe = frozenset(universe)
         std: dict[str, list[frozenset[str]]] = {}
         circ: dict[str, list[frozenset[str]]] = {}
+        by_atom: dict[str, list[int]] = {}
+        need: list[int] = []
+        std_heads: list[str] = []
+        facts: set[str] = set()
         for c in clauses:
-            table = std if c.kind == STANDARD else circ
-            table.setdefault(c.head, []).append(c.body)
+            if c.kind != STANDARD:
+                circ.setdefault(c.head, []).append(c.body)
+                continue
+            std.setdefault(c.head, []).append(c.body)
+            for a in c.body:
+                by_atom.setdefault(a, []).append(len(need))
+            if not c.body:
+                facts.add(c.head)
+            need.append(len(c.body))
+            std_heads.append(c.head)
         self.std_bodies = std
         self.circ_bodies = circ
-        self._flat_std = [(body, head) for head, bodies in std.items() for body in bodies]
         self._heads = frozenset(std) | frozenset(circ)
+        self._by_atom = by_atom
+        self._need = need
+        self._std_heads = std_heads
+        self._facts = frozenset(facts)
+        self._last_next: tuple[frozenset[str], frozenset[str]] | None = None
 
     def closure(self, seed: Iterable[str]) -> set[str]:
         """Least set containing *seed* and closed under standard clauses."""
         done = set(seed)
-        by_atom: dict[str, list[int]] = {}
-        need: list[int] = []
-        heads: list[str] = []
+        done |= self._facts
+        need = self._need.copy()
+        heads = self._std_heads
+        by_atom = self._by_atom
         queue = list(done)
-        for idx, (body, head) in enumerate(self._flat_std):
-            need.append(len(body))
-            heads.append(head)
-            if not body and head not in done:
-                done.add(head)
-                queue.append(head)
-            for a in body:
-                by_atom.setdefault(a, []).append(idx)
         while queue:
-            a = queue.pop()
-            for idx in by_atom.get(a, ()):
+            for idx in by_atom.get(queue.pop(), ()):
                 need[idx] -= 1
                 if need[idx] == 0:
                     h = heads[idx]
@@ -103,7 +127,18 @@ class RuleIndex:
             grant = kept
 
     def next_events(self, done: frozenset[str]) -> frozenset[str]:
-        """Events not yet in *done* that can be performed prudently now."""
+        """Events not yet in *done* that can be performed prudently now.
+
+        The last answer is kept, so asking again about the same *done* is a
+        set comparison: in ``simulate`` every strategy synthesized for one
+        spec asks once per step, and only the first of them computes.  The
+        key and the answer are stored as one tuple, so concurrent callers can
+        at worst compute again.
+        """
+        done = frozenset(done)
+        last = self._last_next
+        if last is not None and last[0] == done:
+            return last[1]
         closed = self.credit_closure(done)
         out: set[str] = set()
         for e in self._heads:
@@ -113,7 +148,9 @@ class RuleIndex:
                 out.add(e)
             elif any(b <= closed for b in self.circ_bodies.get(e, ())):
                 out.add(e)
-        return frozenset(out)
+        result = frozenset(out)
+        self._last_next = (done, result)
+        return result
 
     def provable(self) -> frozenset[str]:
         """Least fixpoint of ``X ∪ next_events(X)`` from the empty set.
@@ -153,9 +190,51 @@ class RuleIndex:
             past.add(e)
         return frozenset(pending)
 
+    def _credit_spans(self, seq: Sequence[str]) -> list[tuple[str, int, int]]:
+        """``(event, opens, closes)`` for every step of the duplicate-free
+        *seq* that ever goes on credit: it is in the ledger of the prefix of
+        length ``i``, ``unjustified(seq[:i])``, exactly when
+        ``opens <= i < closes``.
+
+        The step at position ``j`` is judged against its fixed past
+        ``seq[:j]`` by the standard clauses, so a step they do not justify
+        opens at ``j + 1``.  A prefix contains a body from the length just
+        past the body's last position on, and keeps containing it, so the
+        step closes at the shortest prefix that holds one of its circular
+        bodies, or never (``len(seq) + 1``).
+        """
+        never = len(seq) + 1
+        where = {e: i + 1 for i, e in enumerate(seq)}
+
+        def held(body: frozenset[str]) -> int:  # shortest prefix holding body
+            return max((where.get(a, never) for a in body), default=0)
+
+        spans: list[tuple[str, int, int]] = []
+        for j, e in enumerate(seq):
+            if any(held(b) <= j for b in self.std_bodies.get(e, ())):
+                continue
+            closes = min((held(b) for b in self.circ_bodies.get(e, ())), default=never)
+            if closes > j + 1:
+                spans.append((e, j + 1, closes))
+        return spans
+
 
 def _rules(spec: ContractSpec) -> RuleIndex:
-    return RuleIndex(spec.events, spec.clauses)
+    """The spec's one ``RuleIndex``, built on first use and kept in the
+    spec's instance ``__dict__``, so that all queries on one spec value, and
+    all strategies synthesized for it, share its tables and its
+    ``next_events`` memo.
+
+    The index reads only ``events`` and ``clauses``, both frozensets, so it
+    can never go stale, and it lives and dies with the value: a new value,
+    ``dataclasses.replace`` included, builds its own.  Keeping it on the
+    value, not in a table keyed by it, spares every lookup a comparison of
+    whole clause sets.
+    """
+    index = spec.__dict__.get("_rule_index")
+    if index is None:
+        index = spec.__dict__["_rule_index"] = RuleIndex(spec.events, spec.clauses)
+    return index
 
 
 def _require_conflict_free(spec: ContractSpec, op: str) -> None:
@@ -224,12 +303,27 @@ class CreditLedger:
 
 
 def credits(spec: ContractSpec, play: Sequence[str]) -> CreditLedger:
-    """Compute the credit ledger of *play* (conflicting specs are fine here)."""
+    """Compute the credit ledger of *play* (conflicting specs are fine here).
+
+    Circular justification is monotone in the prefix, so each step is on
+    credit for one interval of prefixes (``RuleIndex._credit_spans``); one
+    sweep over the prefixes adds each step where its interval opens and
+    drops it where it closes.  The cost is the play plus the clause bodies
+    of its steps plus the size of the answer.
+    """
     seq = check_play(spec, play)
-    rules = _rules(spec)
-    return CreditLedger(
-        tuple(rules.unjustified(seq[:i]) for i in range(len(seq) + 1))
-    )
+    opens: list[list[str]] = [[] for _ in range(len(seq) + 2)]
+    closes: list[list[str]] = [[] for _ in range(len(seq) + 2)]
+    for e, start, stop in _rules(spec)._credit_spans(seq):
+        opens[start].append(e)
+        closes[stop].append(e)
+    pending: set[str] = set()
+    per_prefix: list[frozenset[str]] = []
+    for i in range(len(seq) + 1):
+        pending.update(opens[i])
+        pending.difference_update(closes[i])
+        per_prefix.append(frozenset(pending))
+    return CreditLedger(tuple(per_prefix))
 
 
 def innocent(spec: ContractSpec, participant: str, play: Sequence[str]) -> bool:

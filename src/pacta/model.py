@@ -290,8 +290,14 @@ def check_play(spec: ContractSpec, play: Iterable[str]) -> tuple[str, ...]:
     A play may not repeat events, use undeclared events, or contain both
     sides of a conflict.  Enabling is *not* checked here: plays on credit are
     legitimate, that is the whole point of circular clauses.
+
+    A valid play is accepted by whole-set checks; only an invalid one is
+    walked step by step, to name the first offending position.
     """
     seq = tuple(play)
+    whole = frozenset(seq)
+    if len(whole) == len(seq) and whole <= spec.events and spec.compatible(whole):
+        return seq
     seen: set[str] = set()
     for i, e in enumerate(seq):
         if e not in spec.events:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from pacta import (
@@ -31,6 +33,15 @@ LETTERS = "abcdef"
 
 def read(name: str) -> str:
     return (DATA / name).read_text(encoding="utf-8")
+
+
+@contextmanager
+def budget(seconds: float):
+    """Fail the test when the block takes *seconds* or longer."""
+    start = time.perf_counter()
+    yield
+    elapsed = time.perf_counter() - start
+    assert elapsed < seconds, f"took {elapsed:.2f} s, budget {seconds} s"
 
 
 def two_party(ca: Clause, cb: Clause, conflicts=(), payoffs: bool = True) -> ContractSpec:

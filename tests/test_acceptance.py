@@ -10,8 +10,6 @@ a few minutes; the polynomial sides always run in full.
 
 import itertools
 import random
-import time
-from contextlib import contextmanager
 from functools import lru_cache
 
 import pytest
@@ -54,6 +52,7 @@ from pacta.oracle import _final_credits
 
 from helpers import (
     STAR_CLAUSES,
+    budget,
     c1,
     c2,
     c3,
@@ -72,14 +71,6 @@ from helpers import (
     star_spec,
     star_theory,
 )
-
-
-@contextmanager
-def budget(seconds):
-    start = time.perf_counter()
-    yield
-    elapsed = time.perf_counter() - start
-    assert elapsed < seconds, f"took {elapsed:.2f} s, budget {seconds} s"
 
 
 @lru_cache(maxsize=None)

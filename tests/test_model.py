@@ -217,6 +217,20 @@ class TestPlays:
         with pytest.raises(InvalidPlayError, match="conflicts"):
             check_play(e5(), ["a", "b", "c"])
 
+    @pytest.mark.parametrize(
+        "spec, play, message",
+        [
+            (c1(), ["a", "zz", "b"], "position 1: 'zz' is not an event of the contract"),
+            (c1(), ["a", "b", "a"], "position 2: event 'a' repeated"),
+            (e5(), ["a", "b", "c"], "position 2: event 'c' conflicts with an earlier event"),
+            (e5(), ["c", "b", "c"], "position 1: event 'b' conflicts with an earlier event"),
+        ],
+    )
+    def test_check_play_names_the_first_offending_position(self, spec, play, message):
+        with pytest.raises(InvalidPlayError) as err:
+            check_play(spec, play)
+        assert str(err.value) == message
+
     def test_check_event_set(self):
         assert check_event_set(e5(), ["a", "b"]) == frozenset({"a", "b"})
         with pytest.raises(PreconditionError, match="unknown"):
