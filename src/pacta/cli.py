@@ -5,10 +5,7 @@ writes one.  ``--json`` switches any command to a single JSON object on
 stdout with sorted keys.  Exit codes: 0 for success (and "yes" answers), 1
 for clean "no" answers (check-trace, agree, validate findings), 2 for usage
 and parse errors, 3 for precondition violations such as asking a
-conflict-sensitive question about a conflicted contract, and 4 for an
-internal error: any other exception is reported as one line,
-``internal error: <type>: <message>``, on stderr, so a crash never reads as
-a domain "no".
+conflict-sensitive question about a conflicted contract.
 """
 
 from __future__ import annotations
@@ -344,10 +341,6 @@ def main(argv: list[str] | None = None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:
-        message = " ".join(str(exc).splitlines())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -177,45 +177,39 @@ class RuleIndex:
 
         A step is justified by a standard body inside its past or by a
         circular body inside the whole sequence; the rest stay on credit.
+        These are the steps whose credit interval never closes.
         """
-        whole = frozenset(seq)
-        past: set[str] = set()
-        pending: set[str] = set()
-        for e in seq:
-            if not (
-                any(b <= past for b in self.std_bodies.get(e, ()))
-                or any(b <= whole for b in self.circ_bodies.get(e, ()))
-            ):
-                pending.add(e)
-            past.add(e)
-        return frozenset(pending)
+        never = len(seq) + 1
+        return frozenset(e for e, _, closes in self._credit_spans(seq) if closes == never)
 
     def _credit_spans(self, seq: Sequence[str]) -> list[tuple[str, int, int]]:
         """``(event, opens, closes)`` for every step of the duplicate-free
         *seq* that ever goes on credit: it is in the ledger of the prefix of
-        length ``i``, ``unjustified(seq[:i])``, exactly when
-        ``opens <= i < closes``.
+        length ``i`` exactly when ``opens <= i < closes``.
 
         The step at position ``j`` is judged against its fixed past
         ``seq[:j]`` by the standard clauses, so a step they do not justify
         opens at ``j + 1``.  A prefix contains a body from the length just
         past the body's last position on, and keeps containing it, so the
         step closes at the shortest prefix that holds one of its circular
-        bodies, or never (``len(seq) + 1``).
+        bodies, or never (``len(seq) + 1``) when none lies inside *seq*.
         """
         never = len(seq) + 1
-        where = {e: i + 1 for i, e in enumerate(seq)}
-
-        def held(body: frozenset[str]) -> int:  # shortest prefix holding body
-            return max((where.get(a, never) for a in body), default=0)
-
+        whole = frozenset(seq)
+        where: dict[str, int] = {}  # shortest prefix holding each step
+        past: set[str] = set()
         spans: list[tuple[str, int, int]] = []
         for j, e in enumerate(seq):
-            if any(held(b) <= j for b in self.std_bodies.get(e, ())):
+            justified = any(b <= past for b in self.std_bodies.get(e, ()))
+            past.add(e)
+            if justified:
                 continue
-            closes = min((held(b) for b in self.circ_bodies.get(e, ())), default=never)
-            if closes > j + 1:
-                spans.append((e, j + 1, closes))
+            held = [b for b in self.circ_bodies.get(e, ()) if b <= whole]
+            if not held:
+                spans.append((e, j + 1, never))
+            elif not any(b <= past for b in held):
+                where = where or {a: i + 1 for i, a in enumerate(seq)}
+                spans.append((e, j + 1, min(max(where[a] for a in b) for b in held)))
         return spans
 
 

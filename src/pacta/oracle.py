@@ -194,34 +194,23 @@ def traces_bruteforce(theory: HornTheory) -> frozenset[Trace]:
 # prudence from the game tree
 
 
-def _clause_bodies(spec: ContractSpec) -> dict[tuple[str, str], list[frozenset[str]]]:
-    """The spec's clause bodies grouped by ``(head, kind)``."""
-    bodies: dict[tuple[str, str], list[frozenset[str]]] = {}
-    for c in spec.clauses:
-        bodies.setdefault((c.head, c.kind), []).append(c.body)
-    return bodies
-
-
-def _ledger(
-    bodies: dict[tuple[str, str], list[frozenset[str]]], seq: tuple[str, ...]
-) -> frozenset[str]:
-    """Steps of *seq* justified neither by a standard body inside their past
-    nor by a circular body inside the whole of *seq*."""
+def _final_credits(spec: ContractSpec, seq: tuple[str, ...]) -> frozenset[str]:
     whole = frozenset(seq)
-    past: set[str] = set()
     pending: set[str] = set()
-    for e in seq:
-        justified = any(b <= past for b in bodies.get((e, STANDARD), ())) or any(
-            b <= whole for b in bodies.get((e, CIRCULAR), ())
+    for j, e in enumerate(seq):
+        past = frozenset(seq[:j])
+        justified = any(
+            c.body <= past
+            for c in spec.clauses
+            if c.head == e and c.kind == STANDARD
+        ) or any(
+            c.body <= whole
+            for c in spec.clauses
+            if c.head == e and c.kind == CIRCULAR
         )
         if not justified:
             pending.add(e)
-        past.add(e)
     return frozenset(pending)
-
-
-def _final_credits(spec: ContractSpec, seq: tuple[str, ...]) -> frozenset[str]:
-    return _ledger(_clause_bodies(spec), seq)
 
 
 def prudence_table(
@@ -249,8 +238,7 @@ def prudence_table(
 
     grow((), frozenset())
 
-    bodies = _clause_bodies(spec)
-    gamma = {p: _ledger(bodies, p) for p in plays}
+    gamma = {p: _final_credits(spec, p) for p in plays}
     fireable = {
         p: tuple(
             e

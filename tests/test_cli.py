@@ -283,15 +283,3 @@ class TestErrorChannel:
 
     def test_no_arguments_at_all(self, run):
         assert run()[0] == 2
-
-    def test_unexpected_exception_is_an_internal_error(self, run, monkeypatch):
-        from pacta import cli
-
-        def boom(args):
-            raise RuntimeError("boom\nsecond line")
-
-        monkeypatch.setattr(cli, "_cmd_prove", boom)
-        code, out, err = run("prove", path("c1.ces"))
-        assert code == 4
-        assert out == ""
-        assert err == "internal error: RuntimeError: boom second line\n"

@@ -9,7 +9,6 @@ guards pin the linear behaviour.
 """
 
 import dataclasses
-import itertools
 import random
 
 from pacta import (
@@ -27,32 +26,14 @@ from pacta import (
     synthesize_strategy,
 )
 from pacta.game import RuleIndex, _rules
-from pacta.oracle import _clause_bodies, _final_credits, _ledger
+from pacta.oracle import _final_credits
 
 from helpers import (
     budget,
     c3,
     random_spec,
-    single_slot_family,
-    sparse_family,
     star_spec,
 )
-
-
-def replaced_final_credits(spec, seq):
-    """``oracle._final_credits`` as it was before clauses were grouped."""
-    whole = frozenset(seq)
-    pending = set()
-    for j, e in enumerate(seq):
-        past = frozenset(seq[:j])
-        justified = any(
-            c.body <= past for c in spec.clauses if c.head == e and c.kind == STANDARD
-        ) or any(
-            c.body <= whole for c in spec.clauses if c.head == e and c.kind == CIRCULAR
-        )
-        if not justified:
-            pending.add(e)
-    return frozenset(pending)
 
 
 def random_contract(rng, min_events=1, max_events=6):
@@ -112,24 +93,11 @@ def test_credit_sweep_on_larger_random_specs():
     rng = random.Random(7)
     for _ in range(150):
         spec = random_contract(rng, min_events=10, max_events=40)
-        rules = RuleIndex(spec.events, spec.clauses)
         for play in plays_of(spec, rng):
             ledger = credits(spec, play).per_prefix
             assert ledger == tuple(
-                rules.unjustified(play[:i]) for i in range(len(play) + 1)
+                _final_credits(spec, play[:i]) for i in range(len(play) + 1)
             ), spec
-
-
-def test_grouped_oracle_ledger_is_the_old_definition():
-    for th in itertools.chain(single_slot_family(), sparse_family()):
-        spec = ContractSpec.of(owner={a: "T" for a in th.atoms}, clauses=th.clauses)
-        bodies = _clause_bodies(spec)
-        for k in range(len(th.atoms) + 1):
-            for play in itertools.permutations(sorted(th.atoms), k):
-                assert _ledger(bodies, play) == replaced_final_credits(spec, play), (
-                    th,
-                    play,
-                )
 
 
 def fresh_strategies(spec):
