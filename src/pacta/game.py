@@ -7,7 +7,9 @@ routines:
 * ``credit_closure`` — the largest consistent "credit grant": start by
   granting every circular head, close under standard clauses, and withdraw
   any grant whose circular justification is not contained in the closure,
-  until stable;
+  until stable.  One closure under every grant is computed; withdrawn
+  grants are then taken back from its counters by delete and rederive, so
+  a withdrawal costs the clauses of the atoms it moves, not a new closure;
 * ``next_events`` — events that can be performed *prudently* after a set of
   done events: enabled outright by a standard clause, or backed by a circular
   clause whose body the rest of the play can still honour.
@@ -15,12 +17,12 @@ routines:
 Iterating ``next_events`` from the empty set yields exactly the events of the
 contract that can be brought about by prudent cooperation, which is what the
 agreement check is built on; ``provable`` gets the same set from a single
-``credit_closure`` of the empty set.  ``prudent`` checks a whole play step
-by step against ``next_events``, and ``unjustified`` reads the credit ledger
-of a sequence; both serve the game queries here and proof traces in
-:mod:`pacta.logic`.  Each spec value builds its index once and every
-query on it shares that one (:func:`_rules`).  All operations in this module
-work on finite plays.
+``credit_closure`` of the empty set, once per index.  ``prudent`` checks a
+whole play step by step, each step against its own clauses, and
+``unjustified`` reads the credit ledger of a sequence; both serve the game
+queries here and proof traces in :mod:`pacta.logic`.  Each spec value builds
+its index once and every query on it shares that one (:func:`_rules`).  All
+operations in this module work on finite plays.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ class RuleIndex:
         "_std_heads",
         "_facts",
         "_last_next",
+        "_provable",
+        "_dred",
     )
 
     def __init__(self, universe: Iterable[str], clauses: Iterable[Clause]):
@@ -90,9 +94,16 @@ class RuleIndex:
         self._std_heads = std_heads
         self._facts = frozenset(facts)
         self._last_next: tuple[frozenset[str], frozenset[str]] | None = None
+        self._provable: frozenset[str] | None = None
+        self._dred: tuple | None = None
 
     def closure(self, seed: Iterable[str]) -> set[str]:
         """Least set containing *seed* and closed under standard clauses."""
+        return self._close(seed)[0]
+
+    def _close(self, seed: Iterable[str]) -> tuple[set[str], list[int]]:
+        """``closure(seed)`` and its counters: how many body atoms of each
+        standard clause lie outside the closure."""
         done = set(seed)
         done |= self._facts
         need = self._need.copy()
@@ -107,24 +118,108 @@ class RuleIndex:
                     if h not in done:
                         done.add(h)
                         queue.append(h)
-        return done
+        return done, need
 
     def credit_closure(self, done: Iterable[str]) -> set[str]:
         """Everything obtainable from *done* when credit is granted soundly.
 
-        Grants shrink monotonically, so the loop runs at most one pass per
-        circular head.
+        The largest consistent grant: grant every circular head, close under
+        the standard clauses, and withdraw each grant none of whose circular
+        bodies lies inside the closure, until no grant is withdrawn.  When
+        the first closure withdraws nothing, that closure is the answer;
+        otherwise ``_withdraw`` updates it in place, batch by batch.
         """
         base = set(done)
         grant = set(self.circ_bodies)
-        while True:
-            closed = self.closure(base | grant)
-            kept = {
-                e for e in grant if any(b <= closed for b in self.circ_bodies[e])
-            }
-            if kept == grant:
-                return closed
-            grant = kept
+        closed, need = self._close(base | grant)
+        circ = self.circ_bodies
+        out = {e for e in grant if not any(b <= closed for b in circ[e])}
+        if out:
+            self._withdraw(closed, need, base, grant - out, out)
+        return closed
+
+    def _withdraw(
+        self,
+        closed: set[str],
+        need: list[int],
+        base: set[str],
+        grant: set[str],
+        out: set[str],
+    ) -> None:
+        """Take the grants *out* back from the closure *closed* of
+        ``base ∪ grant ∪ out``, and every grant that loses its last circular
+        body on the way, leaving the closure of *base* and the grants kept.
+
+        Delete and rederive, on the counters *need* of ``_close``: each
+        batch of withdrawn grants first overdeletes every atom a derivation
+        of which used one (atoms of *base*, facts and grants still held are
+        spared), then rederives the overdeleted atoms that some standard
+        clause still supports.  Missing-atom counts per circular body name
+        the grants of the next batch: those whose last full body lost an
+        atom.  Each batch touches only the clauses of the atoms it moves.
+        """
+        if self._dred is None:
+            self._dred = self._dred_tables()
+        std_by_head, circ_heads, circ_list, circ_by_atom = self._dred
+        by_atom = self._by_atom
+        heads = self._std_heads
+        keep = base | self._facts
+        missing = [len(b - closed) for b in circ_list]
+        full = dict.fromkeys(self.circ_bodies, 0)  # bodies with none missing
+        for k, m in enumerate(missing):
+            if not m:
+                full[circ_heads[k]] += 1
+        while out:
+            gone = out - keep
+            closed -= gone
+            stack = list(gone)
+            while stack:
+                for idx in by_atom.get(stack.pop(), ()):
+                    need[idx] += 1
+                    if need[idx] == 1:
+                        h = heads[idx]
+                        if h in closed and h not in keep and h not in grant:
+                            closed.discard(h)
+                            gone.add(h)
+                            stack.append(h)
+            queue = [h for h in gone if any(not need[i] for i in std_by_head.get(h, ()))]
+            closed.update(queue)
+            while queue:
+                for idx in by_atom.get(queue.pop(), ()):
+                    need[idx] -= 1
+                    if need[idx] == 0:
+                        h = heads[idx]
+                        if h not in closed:
+                            closed.add(h)
+                            queue.append(h)
+            out = set()
+            for a in gone - closed:
+                for k in circ_by_atom.get(a, ()):
+                    missing[k] += 1
+                    if missing[k] == 1:
+                        h = circ_heads[k]
+                        full[h] -= 1
+                        if not full[h] and h in grant:
+                            out.add(h)
+            grant -= out
+
+    def _dred_tables(self):
+        """Standard clauses by head and circular bodies by atom, for
+        ``_withdraw``; built on the first withdrawal, since specs that never
+        withdraw never need them."""
+        std_by_head: dict[str, list[int]] = {}
+        for idx, h in enumerate(self._std_heads):
+            std_by_head.setdefault(h, []).append(idx)
+        circ_heads: list[str] = []
+        circ_list: list[frozenset[str]] = []
+        circ_by_atom: dict[str, list[int]] = {}
+        for h, bodies in self.circ_bodies.items():
+            for b in bodies:
+                for a in b:
+                    circ_by_atom.setdefault(a, []).append(len(circ_list))
+                circ_heads.append(h)
+                circ_list.append(b)
+        return std_by_head, circ_heads, circ_list, circ_by_atom
 
     def next_events(self, done: frozenset[str]) -> frozenset[str]:
         """Events not yet in *done* that can be performed prudently now.
@@ -156,20 +251,33 @@ class RuleIndex:
         """Least fixpoint of ``X ∪ next_events(X)`` from the empty set.
 
         The fixpoint equals ``credit_closure(∅)``, everything obtainable from
-        nothing when credit is granted soundly, so one call computes it.
+        nothing when credit is granted soundly, so one call computes it; the
+        index keeps the answer, as it depends on the clauses alone.
         """
-        return frozenset(self.credit_closure(()))
+        if self._provable is None:
+            self._provable = frozenset(self.credit_closure(()))
+        return self._provable
 
     def prudent(self, seq: Sequence[str]) -> bool:
         """Is every step of *seq* in ``next_events`` of the steps before it?
 
-        A repeated step never is: a done event is never next.
+        Each step is checked against its own clauses: a standard body inside
+        its past passes it, and only otherwise is ``credit_closure`` of the
+        past asked for one of its circular bodies.  A repeated step never
+        passes: a done event is never next.
         """
-        done: frozenset[str] = frozenset()
+        past: set[str] = set()
         for e in seq:
-            if e not in self.next_events(done):
+            if e in past:
                 return False
-            done |= {e}
+            if not any(b <= past for b in self.std_bodies.get(e, ())):
+                bodies = self.circ_bodies.get(e, ())
+                if not bodies:
+                    return False
+                closed = self.credit_closure(past)
+                if not any(b <= closed for b in bodies):
+                    return False
+            past.add(e)
         return True
 
     def unjustified(self, seq: Sequence[str]) -> frozenset[str]:

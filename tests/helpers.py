@@ -154,6 +154,55 @@ def delta2_contract() -> ContractSpec:
     )
 
 
+def standard_chain(n):
+    """``s0`` is a fact and each ``s(k+1)`` needs ``sk``: n + 1 traces."""
+    atoms = [f"s{k}" for k in range(n)]
+    return HornTheory.of(
+        [std(atoms[0])] + [std(b, a) for a, b in zip(atoms, atoms[1:])]
+    )
+
+
+def circular_chain(n):
+    """``x_k <<- x_{k+1}`` and the fact ``x_n``: in order, each step stays on
+    credit for exactly one prefix."""
+    x = tuple(f"x{k}" for k in range(1, n + 1))
+    spec = ContractSpec.of(
+        owner={e: "AB"[k % 2] for k, e in enumerate(x)},
+        clauses=[circ(x[k], x[k + 1]) for k in range(n - 1)] + [std(x[-1])],
+    )
+    return spec, x
+
+
+def withdrawal_cascade(m):
+    """``c_j <<- c_{j+1}`` for j < m and ``c_m <<- z`` with ``z`` unobtainable,
+    beside the standard chain ``s_1``, ``s_{k+1} <- s_k``: the grants of the
+    ``c_j`` are withdrawn one by one, from ``c_m`` down, and exactly the
+    ``s_k`` are provable."""
+    c = tuple(f"c{j}" for j in range(1, m + 1))
+    s = tuple(f"s{j}" for j in range(1, m + 1))
+    spec = ContractSpec.of(
+        owner={e: "C" for e in c + ("z",)} | {e: "S" for e in s},
+        clauses=[circ(c[j], c[j + 1]) for j in range(m - 1)]
+        + [circ(c[-1], "z"), std(s[0])]
+        + [std(s[j + 1], s[j]) for j in range(m - 1)],
+        payoffs={"C": GoalPayoff(frozenset({c[0]})), "S": GoalPayoff(frozenset({s[-1]}))},
+    )
+    return spec, c, s
+
+
+def credit_closure_by_passes(rules, done):
+    """The credit closure as one full ``closure`` per withdrawal pass: the
+    reference ``RuleIndex.credit_closure`` is checked against."""
+    base = set(done)
+    grant = set(rules.circ_bodies)
+    while True:
+        closed = rules.closure(base | grant)
+        kept = {e for e in grant if any(b <= closed for b in rules.circ_bodies[e])}
+        if kept == grant:
+            return closed
+        grant = kept
+
+
 # --- exhaustive families and random generators ------------------------------
 
 

@@ -68,6 +68,7 @@ from helpers import (
     random_theory,
     single_slot_family,
     sparse_family,
+    standard_chain,
     star_spec,
     star_theory,
 )
@@ -316,14 +317,6 @@ def test_c10_interleaving_squeezes_shared_atoms():
 
 def shortlex(trace):
     return (len(trace), trace)
-
-
-def standard_chain(n):
-    """``s0`` is a fact and each ``s(k+1)`` needs ``sk``: n + 1 traces."""
-    atoms = [f"s{k}" for k in range(n)]
-    return HornTheory.of(
-        [std(atoms[0])] + [std(b, a) for a, b in zip(atoms, atoms[1:])]
-    )
 
 
 def test_c11_proof_traces_are_the_prudent_plays_with_empty_ledgers():

@@ -17,7 +17,6 @@ from pacta import (
     Clause,
     ContractSpec,
     Strategy,
-    circ,
     credits,
     prudent_events,
     shy_dancers,
@@ -31,6 +30,7 @@ from pacta.oracle import _final_credits
 from helpers import (
     budget,
     c3,
+    circular_chain,
     random_spec,
     star_spec,
 )
@@ -172,17 +172,6 @@ def test_one_index_per_value_and_never_for_a_replaced_one():
     assert same == spec and hash(same.clauses) == hash(spec.clauses)
     assert _rules(same) is not _rules(spec)
     assert "_rule_index" not in repr(spec)
-
-
-def circular_chain(n):
-    """``x_k <<- x_{k+1}`` and the fact ``x_n``: in order, each step stays on
-    credit for exactly one prefix."""
-    x = tuple(f"x{k}" for k in range(1, n + 1))
-    spec = ContractSpec.of(
-        owner={e: "AB"[k % 2] for k, e in enumerate(x)},
-        clauses=[circ(x[k], x[k + 1]) for k in range(n - 1)] + [std(x[-1])],
-    )
-    return spec, x
 
 
 def test_credits_on_a_long_circular_chain_is_about_linear():
