@@ -95,7 +95,7 @@ class RuleIndex:
         self._facts = frozenset(facts)
         self._last_next: tuple[frozenset[str], frozenset[str]] | None = None
         self._provable: frozenset[str] | None = None
-        self._dred: tuple | None = None
+        self._dred: tuple | None = None  # _withdraw's tables, once needed
 
     def closure(self, seed: Iterable[str]) -> set[str]:
         """Least set containing *seed* and closed under standard clauses."""
@@ -203,7 +203,9 @@ class RuleIndex:
                             out.add(h)
             grant -= out
 
-    def _dred_tables(self):
+    def _dred_tables(
+        self,
+    ) -> tuple[dict[str, list[int]], list[str], list[frozenset[str]], dict[str, list[int]]]:
         """Standard clauses by head and circular bodies by atom, for
         ``_withdraw``; built on the first withdrawal, since specs that never
         withdraw never need them."""
