@@ -174,7 +174,7 @@ def test_check_trace_on_a_long_standard_chain_is_about_linear(tmp_path, capsys):
     path = tmp_path / "chain.ces"
     path.write_text(print_spec(spec_of(standard_chain(20_000))), encoding="utf-8")
     whole = ",".join(f"s{k}" for k in range(20_000))
-    with budget(4):
+    with budget(6):
         assert main(["check-trace", str(path), "--trace", whole]) == 0
     assert capsys.readouterr().out == "yes\n"
 
