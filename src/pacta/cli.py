@@ -220,13 +220,10 @@ def _parse_cells(text: str) -> list[tuple[int, int]]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "shy-dancers":
-        circular = None if args.circular == "all" else _parse_cells(args.circular)
-        spec = gen.shy_dancers(args.n, circular)
-        text = dsl.print_spec(spec)
-        _emit({"text": text}, args, [text.rstrip("\n")])
-        return 0
-    raise SpecError(f"unknown family {args.family!r}")
+    circular = None if args.circular == "all" else _parse_cells(args.circular)
+    text = dsl.print_spec(gen.shy_dancers(args.n, circular))
+    _emit({"text": text}, args, [text.rstrip("\n")])
+    return 0
 
 
 def _cmd_oracle_prove(args: argparse.Namespace) -> int:

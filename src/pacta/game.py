@@ -28,11 +28,11 @@ operations in this module work on finite plays.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
-    CIRCULAR,
     STANDARD,
     Clause,
     ContractSpec,
@@ -351,18 +351,6 @@ def _require_participant(spec: ContractSpec, participant: str) -> None:
         raise PreconditionError(f"unknown participant: {participant!r}")
 
 
-def enables(spec: ContractSpec, done: Iterable[str], event: str, kind: str) -> bool:
-    """Does some clause of *kind* with head *event* have its body inside *done*?"""
-    if kind not in (STANDARD, CIRCULAR):
-        raise PreconditionError(f"unknown clause kind: {kind!r}")
-    if event not in spec.events:
-        raise PreconditionError(f"unknown event: {event!r}")
-    X = check_event_set(spec, done)
-    return any(
-        c.body <= X for c in spec.clauses if c.head == event and c.kind == kind
-    )
-
-
 def reachable(spec: ContractSpec, done: Iterable[str]) -> frozenset[str]:
     """Events obtainable on credit from *done* (excluding *done* itself)."""
     _require_conflict_free(spec, "reachable")
@@ -455,10 +443,13 @@ class ParticipantVerdict:
 
 @dataclass(frozen=True)
 class GameVerdict:
-    """Outcome of a finished play, one row per participant."""
+    """Outcome of a finished play, one row per participant (read-only)."""
 
     play: tuple[str, ...]
-    participants: Mapping[str, ParticipantVerdict]
+    participants: Mapping[str, ParticipantVerdict] = field(hash=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "participants", MappingProxyType(dict(self.participants)))
 
 
 def _verdict_rows(
@@ -553,7 +544,8 @@ def simulate(
     """Run the strategies to quiescence under a fair scheduler.
 
     Exactly one strategy per participant is required.  At every step each
-    strategy is asked for offers (which must be owned, fresh, and playable);
+    strategy is asked for offers (which must be owned and fresh; the spec is
+    conflict-free, so a fresh event is always playable);
     the scheduler fires the event whose uninterrupted offer streak started
     earliest, breaking ties uniformly at random with the given seed.  The loop
     stops when nobody offers, which makes the resulting finite play fair with
@@ -573,11 +565,11 @@ def simulate(
 
     rng = random.Random(seed)
     play: list[str] = []
+    played: set[str] = set()
     streak_start: dict[str, int] = {}
     step = 0
     while True:
         snapshot = tuple(play)
-        played = set(play)
         offered: set[str] = set()
         for p in sorted(by_part):
             strat = by_part[p]
@@ -586,7 +578,7 @@ def simulate(
                     raise InvalidPlayError(
                         f"strategy for {p!r} offered {e!r}, which it does not own"
                     )
-                if e in played or not spec.compatible(played | {e}):
+                if e in played:
                     raise InvalidPlayError(
                         f"strategy for {p!r} offered unplayable {e!r} after "
                         f"<{','.join(snapshot) or 'empty'}>"
@@ -601,6 +593,7 @@ def simulate(
         candidates = sorted(e for e, t in streak_start.items() if t == oldest)
         chosen = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
         play.append(chosen)
+        played.add(chosen)
         del streak_start[chosen]
         step += 1
 

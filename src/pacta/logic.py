@@ -24,10 +24,11 @@ next?" into plain provability over a tagged alphabet: ``!a`` ("a was already
 performed"), ``R$a`` ("a is still obtainable"), ``U$a`` ("a can be performed
 now").  The tag spellings are outside the identifier grammar of the DSL, so
 encoded theories can never collide with user input.  :func:`urgent_atoms`
-and :func:`reach_atoms` do not go through the encoding: they read the game
-fixpoint (``RuleIndex.next_events`` and ``RuleIndex.provable``), and the
-encoding's theorem, that its ``U$``/``R$`` tags give the same answers, is
-what the acceptance tests hold :func:`encode_urgency` to.
+and :func:`provable_atoms` do not go through the encoding: they read the
+game fixpoint (``RuleIndex.next_events`` and ``RuleIndex.provable``).  The
+encoding's theorem is that its ``U$`` tags give the urgent atoms and its
+``R$`` tags the atoms of the proof traces, which are the provable atoms;
+the acceptance tests hold :func:`encode_urgency` to it.
 """
 
 from __future__ import annotations
@@ -250,13 +251,3 @@ def urgent_atoms(theory: HornTheory, done: Iterable[str]) -> frozenset[str]:
     if unknown:
         raise PreconditionError(f"unknown atoms: {', '.join(sorted(unknown))}")
     return RuleIndex(theory.atoms, theory.clauses).next_events(performed)
-
-
-def reach_atoms(theory: HornTheory) -> frozenset[str]:
-    """Atoms that occur in at least one proof trace: the provable atoms.
-
-    The theorem of the encoding is that these are exactly the atoms whose
-    ``R$`` tag :func:`encode_urgency` makes provable; ``test_c08`` holds the
-    encoding to it.
-    """
-    return provable_atoms(theory)

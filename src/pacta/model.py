@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 STANDARD = "standard"
@@ -163,20 +164,25 @@ Payoff = GoalPayoff | OfferRequestPayoff
 
 @dataclass(frozen=True)
 class ContractSpec:
-    """An immutable contract specification.
+    """An immutable, hashable contract specification.
 
     ``owner`` maps every event to its participant; ``conflicts`` is a set of
     unordered event pairs that can never both occur in one play; ``payoffs``
     maps participants to their payoff (participants may lack one, but several
-    game operations require totality).
+    game operations require totality).  Both mappings are stored as read-only
+    copies and left out of the hash, which the frozenset fields carry.
     """
 
     events: frozenset[str]
     participants: frozenset[str]
-    owner: Mapping[str, str]
+    owner: Mapping[str, str] = field(hash=False)
     clauses: frozenset[Clause]
     conflicts: frozenset[frozenset[str]] = frozenset()
-    payoffs: Mapping[str, Payoff] = field(default_factory=dict)
+    payoffs: Mapping[str, Payoff] = field(default_factory=dict, hash=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "owner", MappingProxyType(dict(self.owner)))
+        object.__setattr__(self, "payoffs", MappingProxyType(dict(self.payoffs)))
 
     @classmethod
     def of(
@@ -192,7 +198,6 @@ class ContractSpec:
         ``participants`` only needs entries that own no event (rare, but a
         payoff may belong to a purely observing party).
         """
-        owner = dict(owner)
         parts = frozenset(owner.values()) | frozenset(participants)
         return cls(
             events=frozenset(owner),
@@ -200,14 +205,11 @@ class ContractSpec:
             owner=owner,
             clauses=frozenset(clauses),
             conflicts=frozenset(frozenset(pair) for pair in conflicts),
-            payoffs=dict(payoffs or {}),
+            payoffs=payoffs or {},
         )
 
     def owned_by(self, participant: str) -> frozenset[str]:
         return frozenset(e for e, p in self.owner.items() if p == participant)
-
-    def is_conflict_free(self) -> bool:
-        return not self.conflicts
 
     def compatible(self, done: Iterable[str]) -> bool:
         """True when no conflicting pair is contained in *done*."""

@@ -12,8 +12,12 @@ These are the arbiters the fast algorithms in :mod:`pacta.game` and
   event is prudent when, against arbitrary opponent behaviour, its owner can
   always bring its credits back without relying on anyone else.
 
-All three are exponential and carry small size guards; they exist to be
-obviously correct, not fast.
+All three are exponential and raise :class:`~pacta.model.PreconditionError`
+before any search on inputs past their size guards: 12 atoms for the
+natural-deduction search (:func:`nd_provable`, :func:`nd_derivation`),
+8 atoms for :func:`traces_bruteforce`, 6 events for :func:`prudence_table`
+and :func:`prudence_bruteforce`.  They exist to be obviously correct, not
+fast.
 """
 
 from __future__ import annotations
@@ -31,16 +35,15 @@ from .model import (
 )
 from .logic import HornTheory, Trace, interleave
 
-RULES = ("Id", "AndI", "AndE1", "AndE2", "ArrowE", "CArrowE")
+RULES = ("Id", "ArrowE", "CArrowE")
 
 
 @dataclass(frozen=True)
 class Derivation:
     """A natural-deduction proof tree.
 
-    ``rule`` is one of :data:`RULES`.  Clause bodies are sets, so conjunction
-    introduction/elimination never shows up in generated trees: a clause
-    application simply carries one premise per body atom.  ``assumptions``
+    ``rule`` is one of :data:`RULES`.  Clause bodies are sets, so a clause
+    application carries one premise per body atom.  ``assumptions``
     records the hypotheses in scope at this node; the premise of a circular
     clause is derived under the assumptions extended with the clause's head.
     """
@@ -53,9 +56,14 @@ class Derivation:
 
 
 class _NdSearch:
-    """Forward chaining per assumption set, recursing only into larger sets."""
+    """Forward chaining per assumption set, recursing only into larger sets.
+    Guarded at 12 atoms."""
 
     def __init__(self, theory: HornTheory):
+        if len(theory.atoms) > 12:
+            raise PreconditionError(
+                "natural-deduction search supports at most 12 atoms"
+            )
         self.clauses = sorted(
             theory.clauses, key=lambda c: (c.head, c.kind, sorted(c.body))
         )
@@ -147,8 +155,6 @@ def check_derivation(theory: HornTheory, deriv: Derivation) -> bool:
             p.assumptions == scope and check_derivation(theory, p)
             for p in deriv.premises
         )
-    # AndI/AndE1/AndE2 belong to the rule vocabulary but generated trees
-    # fold conjunctions into premise tuples, so there is nothing to audit.
     return False
 
 

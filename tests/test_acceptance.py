@@ -34,7 +34,6 @@ from pacta import (
     provable_events,
     prudence_table,
     prudent_events,
-    reach_atoms,
     shy_dancers,
     simulate,
     spec_of,
@@ -277,7 +276,7 @@ def test_c08_urgency_encoding_theorem_holds():
     # least one proof trace.
     for th in itertools.chain(slot, sparse):
         traced = f(a for tr in proof_traces(th) for a in tr)
-        assert reach_atoms(th) == traced, th
+        assert provable_atoms(th) == traced, th
         tags = provable_atoms(encode_urgency(th))
         assert f(a for a in th.atoms if mark_reachable(a) in tags) == traced, th
 

@@ -3,10 +3,10 @@ import json
 
 import pytest
 
-from pacta import parse, shy_dancers
+from pacta import parse, print_spec, shy_dancers
 from pacta.cli import main
 
-from helpers import DATA
+from helpers import DATA, circular_chain
 
 
 def path(name):
@@ -260,6 +260,12 @@ class TestOracle:
         code, _, err = run("oracle", "prudence", path("star.ces"))
         assert code == 3
         assert "at most 6 events" in err
+
+    def test_oracle_prove_refuses_a_long_chain_without_a_traceback(self, run):
+        text = print_spec(circular_chain(1200)[0])
+        code, out, err = run("oracle", "prove", "-", stdin=text)
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["error: natural-deduction search supports at most 12 atoms"]
 
 
 class TestErrorChannel:

@@ -237,10 +237,14 @@ class TestRoundTrip:
             delta2_contract(),
             spec_of(delta3(), "T"),
         ):
-            assert parse(print_spec(spec)) == spec
+            back = parse(print_spec(spec))
+            assert back == spec
+            assert hash(back) == hash(spec)
+            assert len({back, spec}) == 1
 
     def test_random_specs_round_trip(self):
         rng = random.Random(1729)
         for _ in range(10_000):
             spec = random_spec(rng, allow_conflicts=True)
-            assert parse(print_spec(spec)) == spec
+            back = parse(print_spec(spec))
+            assert back == spec and hash(back) == hash(spec)

@@ -14,7 +14,6 @@ from pacta import (
     agreement,
     credit_free,
     credits,
-    enables,
     innocent,
     is_prudent_play,
     provable_events,
@@ -38,24 +37,6 @@ from helpers import (
     star_spec,
     two_party,
 )
-
-
-class TestEnables:
-    def test_clause_body_membership(self):
-        assert enables(c1(), (), "a", STANDARD)  # facts are enabled anywhere
-        assert not enables(c1(), (), "b", STANDARD)
-        assert enables(c1(), ("a",), "b", STANDARD)
-        assert not enables(c3(), (), "a", CIRCULAR)
-        assert enables(c3(), ("b",), "a", CIRCULAR)
-        assert not enables(c3(), ("b",), "a", STANDARD)
-
-    def test_argument_checking(self):
-        with pytest.raises(PreconditionError, match="kind"):
-            enables(c1(), (), "a", "urgently")
-        with pytest.raises(PreconditionError, match="unknown event"):
-            enables(c1(), (), "zz", STANDARD)
-        with pytest.raises(PreconditionError, match="unknown"):
-            enables(c1(), ("zz",), "a", STANDARD)
 
 
 class TestReachable:
@@ -213,6 +194,12 @@ class TestWinsAndVerdict:
         b_row = result.participants["B"]
         assert (a_row.innocent, a_row.credit_free, a_row.wins) == (True, True, True)
         assert (b_row.innocent, b_row.credit_free, b_row.wins) == (True, False, False)
+
+    def test_verdict_rows_are_read_only(self):
+        result = verdict(c3(), ("b", "a"))
+        with pytest.raises(TypeError):
+            result.participants["A"] = result.participants["B"]
+        assert hash(result) == hash(verdict(c3(), ["b", "a"]))
 
     def test_verdict_preconditions(self):
         with pytest.raises(PreconditionError, match="conflict-free"):

@@ -14,7 +14,6 @@ from pacta import (
     proof_traces,
     provable_atoms,
     prudent_events,
-    reach_atoms,
     spec_of,
     std,
     theory_of,
@@ -186,19 +185,25 @@ class TestUrgencyEncoding:
             urgent_atoms(delta1(), ("zz",))
 
     def test_reach_atoms(self):
-        assert reach_atoms(delta3()) == frozenset({"a", "b"})
-        assert reach_atoms(delta2()) == frozenset()
-        assert reach_atoms(HornTheory.of([std("a", "b")])) == frozenset()
-        assert reach_atoms(star_theory()) == star_theory().atoms
+        # The reachable atoms are the provable ones, and the R$ tags mark them.
+        for th, expected in (
+            (delta3(), {"a", "b"}),
+            (delta2(), set()),
+            (HornTheory.of([std("a", "b")]), set()),
+            (star_theory(), star_theory().atoms),
+        ):
+            assert provable_atoms(th) == expected
+            tags = provable_atoms(encode_urgency(th))
+            assert {a for a in th.atoms if mark_reachable(a) in tags} == expected
 
     def test_urgency_queries_answer_on_tag_namespace_atoms(self):
-        # urgent_atoms/reach_atoms read the game fixpoint and never encode,
+        # urgent_atoms/provable_atoms read the game fixpoint and never encode,
         # so only encode_urgency objects to atoms in the tag namespace.
         th = HornTheory.of([std("U$x"), circ("b", "U$x"), std("c", "b")])
         spec = spec_of(th)
         assert urgent_atoms(th, ()) == frozenset({"U$x", "b"})
         for past in ((), ("U$x",), ("b",), ("U$x", "b")):
             assert urgent_atoms(th, past) == prudent_events(spec, past)
-        assert reach_atoms(th) == provable_atoms(th) == th.atoms
+        assert provable_atoms(th) == th.atoms
         with pytest.raises(PreconditionError, match="tag namespace"):
             encode_urgency(th)

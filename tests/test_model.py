@@ -101,11 +101,35 @@ class TestContractSpec:
 
     def test_conflicts_and_compatibility(self):
         spec = e5()
-        assert not spec.is_conflict_free()
+        assert spec.conflicts
         assert spec.compatible({"a", "b"})
         assert spec.compatible({"b"})
         assert not spec.compatible({"b", "c"})
-        assert c1().is_conflict_free()
+        assert not c1().conflicts
+
+    def test_values_are_hashable_and_equal_values_collapse(self):
+        assert len({c1(), c1(), c3()}) == 2
+        spec = ContractSpec.of(owner={"a": "A"}, payoffs={"A": GoalPayoff(frozenset({"a"}))})
+        assert spec == ContractSpec(
+            events=frozenset({"a"}),
+            participants=frozenset({"A"}),
+            owner={"a": "A"},
+            clauses=frozenset(),
+            payoffs={"A": GoalPayoff(frozenset({"a"}))},
+        )
+
+    def test_mappings_are_read_only_copies(self):
+        owner = {"a": "A", "b": "B"}
+        spec = ContractSpec.of(owner=owner, payoffs={"A": GoalPayoff(frozenset({"b"}))})
+        owner["a"] = "B"
+        assert spec.owner["a"] == "A"
+        with pytest.raises(TypeError):
+            spec.owner["a"] = "B"
+        with pytest.raises(TypeError):
+            del spec.payoffs["A"]
+        with pytest.raises(TypeError):
+            spec.payoffs["B"] = GoalPayoff(frozenset())
+        assert spec.owned_by("A") == frozenset({"a"})
 
 
 class TestValidate:

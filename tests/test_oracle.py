@@ -21,6 +21,7 @@ from pacta import (
     prudent_events,
     spec_of,
     std,
+    theory_of,
     traces_bruteforce,
 )
 from pacta.model import InvalidPlayError
@@ -30,6 +31,7 @@ from helpers import (
     c2,
     c3,
     c4,
+    circular_chain,
     delta1,
     delta2,
     delta3,
@@ -70,6 +72,16 @@ class TestNdProvable:
     def test_standard_self_loop_does_not_fire(self):
         assert not nd_provable(HornTheory.of([std("a", "a")]), "a")
         assert nd_provable(HornTheory.of([circ("a", "a")]), "a")
+
+    def test_size_guard(self):
+        at_bound = theory_of(circular_chain(12)[0])
+        assert nd_provable(at_bound, "x1")
+        assert check_derivation(at_bound, nd_derivation(at_bound, "x1"))
+        over = theory_of(circular_chain(13)[0])
+        with pytest.raises(PreconditionError, match="12 atoms"):
+            nd_provable(over, "x13")
+        with pytest.raises(PreconditionError, match="12 atoms"):
+            nd_derivation(over, "x13")
 
 
 class TestNdDerivation:
