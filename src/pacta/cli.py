@@ -261,10 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str, needs_file: bool = True):
+    def add(name: str, func, help_text: str):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        if needs_file:
-            p.add_argument("file", help="contract file, or - for stdin")
+        p.add_argument("file", help="contract file, or - for stdin")
         p.set_defaults(func=func)
         return p
 

@@ -306,13 +306,11 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
         payoffs[p] = OfferRequestPayoff(tuple(pairs))
 
     spec = ContractSpec(
-        events=frozenset(events),
-        participants=frozenset(participants),
+        events=events,
+        participants=participants,
         owner=owner,
-        clauses=frozenset(
-            Clause(cl.head, frozenset(cl.body), cl.kind) for cl in clause_lines
-        ),
-        conflicts=frozenset(frozenset((e1, e2)) for e1, e2, _ in conflict_lines),
+        clauses=(Clause(cl.head, cl.body, cl.kind) for cl in clause_lines),
+        conflicts=((e1, e2) for e1, e2, _ in conflict_lines),
         payoffs=payoffs,
     )
     residual = validate(spec)

@@ -49,12 +49,13 @@ from .model import (
 class RuleIndex:
     """Clause tables keyed by head, shared by the game and logic layers.
 
-    The standard clauses are also compiled once into the counter tables that
-    ``closure`` runs on, so each fixpoint call only copies a list of counts.
+    One pass over the clauses compiles both kinds: the standard clauses into
+    the counter tables that ``_propagate`` runs on, so each fixpoint call
+    only copies a list of counts, and the circular bodies into the tables
+    ``_withdraw`` counts missing atoms on.
     """
 
     __slots__ = (
-        "universe",
         "std_bodies",
         "circ_bodies",
         "_heads",
@@ -62,40 +63,41 @@ class RuleIndex:
         "_need",
         "_std_heads",
         "_facts",
+        "_circ_heads",
+        "_circ_by_atom",
+        "_circ_list",
         "_last_next",
         "_provable",
-        "_dred",
     )
 
-    def __init__(self, universe: Iterable[str], clauses: Iterable[Clause]):
-        self.universe = frozenset(universe)
-        std: dict[str, list[frozenset[str]]] = {}
-        circ: dict[str, list[frozenset[str]]] = {}
-        by_atom: dict[str, list[int]] = {}
+    def __init__(self, clauses: Iterable[Clause]):
+        self.std_bodies: dict[str, list[frozenset[str]]] = {}
+        self.circ_bodies: dict[str, list[frozenset[str]]] = {}
+        self._std_heads: list[str] = []
+        self._by_atom: dict[str, list[int]] = {}
+        self._circ_heads: list[str] = []
+        self._circ_by_atom: dict[str, list[int]] = {}
+        self._circ_list: list[frozenset[str]] = []
         need: list[int] = []
-        std_heads: list[str] = []
         facts: set[str] = set()
         for c in clauses:
-            if c.kind != STANDARD:
-                circ.setdefault(c.head, []).append(c.body)
-                continue
-            std.setdefault(c.head, []).append(c.body)
+            if c.kind == STANDARD:
+                bodies, heads, table = self.std_bodies, self._std_heads, self._by_atom
+                need.append(len(c.body))
+                if not c.body:
+                    facts.add(c.head)
+            else:
+                bodies, heads, table = self.circ_bodies, self._circ_heads, self._circ_by_atom
+                self._circ_list.append(c.body)
+            bodies.setdefault(c.head, []).append(c.body)
             for a in c.body:
-                by_atom.setdefault(a, []).append(len(need))
-            if not c.body:
-                facts.add(c.head)
-            need.append(len(c.body))
-            std_heads.append(c.head)
-        self.std_bodies = std
-        self.circ_bodies = circ
-        self._heads = frozenset(std) | frozenset(circ)
-        self._by_atom = by_atom
+                table.setdefault(a, []).append(len(heads))
+            heads.append(c.head)
+        self._heads = frozenset(self.std_bodies) | frozenset(self.circ_bodies)
         self._need = need
-        self._std_heads = std_heads
         self._facts = frozenset(facts)
         self._last_next: tuple[frozenset[str], frozenset[str]] | None = None
         self._provable: frozenset[str] | None = None
-        self._dred: tuple | None = None  # _withdraw's tables, once needed
 
     def closure(self, seed: Iterable[str]) -> set[str]:
         """Least set containing *seed* and closed under standard clauses."""
@@ -107,18 +109,23 @@ class RuleIndex:
         done = set(seed)
         done |= self._facts
         need = self._need.copy()
+        self._propagate(done, need, list(done))
+        return done, need
+
+    def _propagate(self, closed: set[str], need: list[int], queue: list[str]) -> None:
+        """Forward chaining: count the atoms of *queue*, already in *closed*,
+        out of the counters *need*, adding each head whose clause they
+        complete to *closed* and to the queue."""
         heads = self._std_heads
         by_atom = self._by_atom
-        queue = list(done)
         while queue:
             for idx in by_atom.get(queue.pop(), ()):
                 need[idx] -= 1
                 if need[idx] == 0:
                     h = heads[idx]
-                    if h not in done:
-                        done.add(h)
+                    if h not in closed:
+                        closed.add(h)
                         queue.append(h)
-        return done, need
 
     def credit_closure(self, done: Iterable[str]) -> set[str]:
         """Everything obtainable from *done* when credit is granted soundly.
@@ -153,18 +160,19 @@ class RuleIndex:
         Delete and rederive, on the counters *need* of ``_close``: each
         batch of withdrawn grants first overdeletes every atom a derivation
         of which used one (atoms of *base*, facts and grants still held are
-        spared), then rederives the overdeleted atoms that some standard
-        clause still supports.  Missing-atom counts per circular body name
-        the grants of the next batch: those whose last full body lost an
-        atom.  Each batch touches only the clauses of the atoms it moves.
+        spared), then rederives, with ``_propagate``, the overdeleted atoms
+        that some standard clause still supports.  Missing-atom counts per
+        circular body, on the tables ``__init__`` compiled, name the grants
+        of the next batch: those whose last full body lost an atom.  Each
+        batch touches only the clauses of the atoms it moves.
         """
-        if self._dred is None:
-            self._dred = self._dred_tables()
-        std_by_head, circ_heads, circ_list, circ_by_atom = self._dred
         by_atom = self._by_atom
         heads = self._std_heads
+        std = self.std_bodies
+        circ_heads = self._circ_heads
+        circ_by_atom = self._circ_by_atom
         keep = base | self._facts
-        missing = [len(b - closed) for b in circ_list]
+        missing = [len(b - closed) for b in self._circ_list]
         full = dict.fromkeys(self.circ_bodies, 0)  # bodies with none missing
         for k, m in enumerate(missing):
             if not m:
@@ -182,16 +190,11 @@ class RuleIndex:
                             closed.discard(h)
                             gone.add(h)
                             stack.append(h)
-            queue = [h for h in gone if any(not need[i] for i in std_by_head.get(h, ()))]
+            # need[i] always equals |body_i − closed|, so testing the bodies
+            # is testing the counters for zero.
+            queue = [h for h in gone if any(b <= closed for b in std.get(h, ()))]
             closed.update(queue)
-            while queue:
-                for idx in by_atom.get(queue.pop(), ()):
-                    need[idx] -= 1
-                    if need[idx] == 0:
-                        h = heads[idx]
-                        if h not in closed:
-                            closed.add(h)
-                            queue.append(h)
+            self._propagate(closed, need, queue)
             out = set()
             for a in gone - closed:
                 for k in circ_by_atom.get(a, ()):
@@ -202,26 +205,6 @@ class RuleIndex:
                         if not full[h] and h in grant:
                             out.add(h)
             grant -= out
-
-    def _dred_tables(
-        self,
-    ) -> tuple[dict[str, list[int]], list[str], list[frozenset[str]], dict[str, list[int]]]:
-        """Standard clauses by head and circular bodies by atom, for
-        ``_withdraw``; built on the first withdrawal, since specs that never
-        withdraw never need them."""
-        std_by_head: dict[str, list[int]] = {}
-        for idx, h in enumerate(self._std_heads):
-            std_by_head.setdefault(h, []).append(idx)
-        circ_heads: list[str] = []
-        circ_list: list[frozenset[str]] = []
-        circ_by_atom: dict[str, list[int]] = {}
-        for h, bodies in self.circ_bodies.items():
-            for b in bodies:
-                for a in b:
-                    circ_by_atom.setdefault(a, []).append(len(circ_list))
-                circ_heads.append(h)
-                circ_list.append(b)
-        return std_by_head, circ_heads, circ_list, circ_by_atom
 
     def next_events(self, done: frozenset[str]) -> frozenset[str]:
         """Events not yet in *done* that can be performed prudently now.
@@ -306,7 +289,7 @@ class RuleIndex:
         """
         never = len(seq) + 1
         whole = frozenset(seq)
-        where: dict[str, int] = {}  # shortest prefix holding each step
+        where = {a: i + 1 for i, a in enumerate(seq)}  # shortest prefix holding each step
         past: set[str] = set()
         spans: list[tuple[str, int, int]] = []
         for j, e in enumerate(seq):
@@ -318,7 +301,6 @@ class RuleIndex:
             if not held:
                 spans.append((e, j + 1, never))
             elif not any(b <= past for b in held):
-                where = where or {a: i + 1 for i, a in enumerate(seq)}
                 spans.append((e, j + 1, min(max(where[a] for a in b) for b in held)))
         return spans
 
@@ -329,15 +311,15 @@ def _rules(spec: ContractSpec) -> RuleIndex:
     all strategies synthesized for it, share its tables and its
     ``next_events`` memo.
 
-    The index reads only ``events`` and ``clauses``, both frozensets, so it
-    can never go stale, and it lives and dies with the value: a new value,
-    ``dataclasses.replace`` included, builds its own.  Keeping it on the
-    value, not in a table keyed by it, spares every lookup a comparison of
-    whole clause sets.
+    The index reads only ``clauses``, which ``ContractSpec`` stores as a
+    frozenset, so it can never go stale, and it lives and dies with the
+    value: a new value, ``dataclasses.replace`` included, builds its own.
+    Keeping it on the value, not in a table keyed by it, spares every lookup
+    a comparison of whole clause sets.
     """
     index = spec.__dict__.get("_rule_index")
     if index is None:
-        index = spec.__dict__["_rule_index"] = RuleIndex(spec.events, spec.clauses)
+        index = spec.__dict__["_rule_index"] = RuleIndex(spec.clauses)
     return index
 
 

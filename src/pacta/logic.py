@@ -57,6 +57,10 @@ class HornTheory:
     atoms: frozenset[str]
     clauses: frozenset[Clause]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "atoms", frozenset(self.atoms))
+        object.__setattr__(self, "clauses", frozenset(self.clauses))
+
     @classmethod
     def of(cls, clauses: Iterable[Clause], atoms: Iterable[str] = ()) -> "HornTheory":
         """Build a theory, deriving the alphabet from the clauses.
@@ -68,7 +72,7 @@ class HornTheory:
         for c in cs:
             alphabet.add(c.head)
             alphabet |= c.body
-        return cls(frozenset(alphabet), cs)
+        return cls(alphabet, cs)
 
 
 def theory_of(spec: ContractSpec) -> HornTheory:
@@ -89,7 +93,7 @@ def spec_of(theory: HornTheory, participant: str = "T") -> ContractSpec:
 
 def provable_atoms(theory: HornTheory) -> frozenset[str]:
     """All atoms provable from the theory (circular clauses discharge their head)."""
-    return RuleIndex(theory.atoms, theory.clauses).provable()
+    return RuleIndex(theory.clauses).provable()
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +140,7 @@ def iter_proof_traces(theory: HornTheory) -> Iterator[Trace]:
     out lexicographically sorted.  Plays with an empty credit ledger are
     the traces.
     """
-    rules = RuleIndex(theory.atoms, theory.clauses)
+    rules = RuleIndex(theory.clauses)
     level: list[Trace] = [()]
     while level:
         longer: list[Trace] = []
@@ -170,7 +174,7 @@ def is_proof_trace(theory: HornTheory, trace: Sequence[str]) -> bool:
     unknown = frozenset(seq) - theory.atoms
     if unknown:
         raise PreconditionError(f"unknown atoms: {', '.join(sorted(unknown))}")
-    rules = RuleIndex(theory.atoms, theory.clauses)
+    rules = RuleIndex(theory.clauses)
     return rules.prudent(seq) and not rules.unjustified(seq)
 
 
@@ -235,7 +239,7 @@ def encode_urgency(theory: HornTheory) -> HornTheory:
     alphabet = frozenset(
         tag(a) for a in theory.atoms for tag in (mark_done, mark_reachable, mark_urgent)
     )
-    return HornTheory(atoms=alphabet, clauses=frozenset(clauses))
+    return HornTheory(atoms=alphabet, clauses=clauses)
 
 
 def urgent_atoms(theory: HornTheory, done: Iterable[str]) -> frozenset[str]:
@@ -250,4 +254,4 @@ def urgent_atoms(theory: HornTheory, done: Iterable[str]) -> frozenset[str]:
     unknown = performed - theory.atoms
     if unknown:
         raise PreconditionError(f"unknown atoms: {', '.join(sorted(unknown))}")
-    return RuleIndex(theory.atoms, theory.clauses).next_events(performed)
+    return RuleIndex(theory.clauses).next_events(performed)

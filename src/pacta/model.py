@@ -120,6 +120,9 @@ class GoalPayoff:
 
     goal: frozenset[str]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "goal", frozenset(self.goal))
+
     def holds(self, done: frozenset[str]) -> bool:
         return self.goal <= done
 
@@ -169,8 +172,10 @@ class ContractSpec:
     ``owner`` maps every event to its participant; ``conflicts`` is a set of
     unordered event pairs that can never both occur in one play; ``payoffs``
     maps participants to their payoff (participants may lack one, but several
-    game operations require totality).  Both mappings are stored as read-only
-    copies and left out of the hash, which the frozenset fields carry.
+    game operations require totality).  The set fields are stored as
+    frozensets, whatever iterables they are given as; both mappings are
+    stored as read-only copies and left out of the hash, which the frozenset
+    fields carry.
     """
 
     events: frozenset[str]
@@ -181,6 +186,10 @@ class ContractSpec:
     payoffs: Mapping[str, Payoff] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "events", frozenset(self.events))
+        object.__setattr__(self, "participants", frozenset(self.participants))
+        object.__setattr__(self, "clauses", frozenset(self.clauses))
+        object.__setattr__(self, "conflicts", frozenset(map(frozenset, self.conflicts)))
         object.__setattr__(self, "owner", MappingProxyType(dict(self.owner)))
         object.__setattr__(self, "payoffs", MappingProxyType(dict(self.payoffs)))
 
@@ -203,8 +212,8 @@ class ContractSpec:
             events=frozenset(owner),
             participants=parts,
             owner=owner,
-            clauses=frozenset(clauses),
-            conflicts=frozenset(frozenset(pair) for pair in conflicts),
+            clauses=clauses,
+            conflicts=conflicts,
             payoffs=payoffs or {},
         )
 

@@ -36,6 +36,15 @@ class TestHornTheory:
     def test_theories_are_hashable(self):
         assert len({delta3(), delta3(), delta4()}) == 2
 
+    def test_hand_built_theories_hold_frozensets(self):
+        atoms, clauses = {"a", "b"}, {std("b", "a")}
+        th = HornTheory(atoms, clauses)
+        assert type(th.atoms) is frozenset and type(th.clauses) is frozenset
+        clauses.add(std("a"))
+        assert th == HornTheory.of([std("b", "a")])
+        assert hash(th) == hash(HornTheory.of([std("b", "a")]))
+        assert provable_atoms(th) == frozenset()
+
     def test_theory_of_drops_owners(self):
         th = theory_of(c3())
         assert th == delta3()

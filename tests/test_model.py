@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from pacta import (
@@ -54,6 +56,11 @@ class TestPayoffs:
         assert p.holds(frozenset({"a", "b", "c"}))
         assert not p.holds(frozenset({"a"}))
         assert p.events() == frozenset({"a", "b"})
+
+    def test_goal_is_coerced_to_frozenset(self):
+        p = GoalPayoff({"a", "b"})
+        assert type(p.goal) is frozenset
+        assert hash(p) == hash(GoalPayoff(frozenset({"b", "a"})))
 
     def test_empty_goal_always_holds(self):
         assert GoalPayoff(frozenset()).holds(frozenset())
@@ -117,6 +124,32 @@ class TestContractSpec:
             clauses=frozenset(),
             payoffs={"A": GoalPayoff(frozenset({"a"}))},
         )
+
+    def test_hand_built_set_fields_become_frozensets(self):
+        events, clauses = {"a", "b"}, {std("b", "a")}
+        spec = ContractSpec(
+            events=events,
+            participants=["A", "B"],
+            owner={"a": "A", "b": "B"},
+            clauses=clauses,
+            conflicts=[("a", "b")],
+            payoffs={"A": GoalPayoff({"b"})},
+        )
+        for value in (spec.events, spec.participants, spec.clauses, spec.conflicts):
+            assert type(value) is frozenset
+        assert spec.conflicts == {frozenset({"a", "b"})}
+        with pytest.raises(AttributeError):
+            spec.events.add("zz")
+        clauses.add(std("a"))
+        events.add("zz")
+        assert spec.clauses == {std("b", "a")} and spec.events == {"a", "b"}
+        assert spec == ContractSpec.of(
+            owner={"a": "A", "b": "B"},
+            clauses=[std("b", "a")],
+            conflicts=[("b", "a")],
+            payoffs={"A": GoalPayoff(frozenset({"b"}))},
+        )
+        assert len({spec, dataclasses.replace(spec)}) == 1
 
     def test_mappings_are_read_only_copies(self):
         owner = {"a": "A", "b": "B"}

@@ -78,7 +78,7 @@ def test_credit_sweep_equals_the_prefix_ledgers_and_the_oracle():
     for _ in range(3_000):
         spec = random_contract(rng)
         conflicted += bool(spec.conflicts)
-        rules = RuleIndex(spec.events, spec.clauses)
+        rules = RuleIndex(spec.clauses)
         for play in plays_of(spec, rng):
             ledger = credits(spec, play).per_prefix
             assert len(ledger) == len(play) + 1
@@ -107,7 +107,7 @@ def fresh_strategies(spec):
         owned = spec.owned_by(p)
         return Strategy(
             p,
-            lambda play: RuleIndex(spec.events, spec.clauses).next_events(frozenset(play))
+            lambda play: RuleIndex(spec.clauses).next_events(frozenset(play))
             & owned,
         )
 
@@ -142,7 +142,7 @@ def test_shared_next_events_leave_simulations_unchanged():
 
 def test_next_events_memo_answers_alternating_pasts():
     spec = star_spec()
-    rules = RuleIndex(spec.events, spec.clauses)
+    rules = RuleIndex(spec.clauses)
     pasts = [
         frozenset(),
         frozenset({"e6"}),
@@ -153,7 +153,7 @@ def test_next_events_memo_answers_alternating_pasts():
         frozenset({"e6", "e7"}),
     ]
     for past in pasts + pasts[::-1]:
-        want = RuleIndex(spec.events, spec.clauses).next_events(past)
+        want = RuleIndex(spec.clauses).next_events(past)
         assert rules.next_events(past) == want, past
         assert rules.next_events(set(past)) == want, past
     assert rules.next_events(frozenset()) == {"e6", "e7"}
