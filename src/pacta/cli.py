@@ -16,13 +16,18 @@ import sys
 from pathlib import Path
 
 from . import dsl, game, gen, logic, oracle
-from .model import ContractSpec, SpecError
+from .model import ContractSpec, PreconditionError, SpecError
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    """The text of *path* (``-`` for stdin); unreadable input raises ``OSError``."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        name = "standard input" if path == "-" else repr(path)
+        raise OSError(f"{name} is not UTF-8 text: {exc}") from exc
 
 
 def _read_spec(path: str) -> ContractSpec:
@@ -30,10 +35,12 @@ def _read_spec(path: str) -> ContractSpec:
 
 
 def _event_list(text: str) -> tuple[str, ...]:
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return ()
-    return tuple(item.strip() for item in text.split(","))
+    items = tuple(item.strip() for item in text.split(","))
+    if "" in items:
+        raise PreconditionError(f"empty entry in the event list {text!r}")
+    return items
 
 
 def _emit(payload: dict, args: argparse.Namespace, text_lines: list[str]) -> None:

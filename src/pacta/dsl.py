@@ -58,15 +58,6 @@ _PAIR_RE = re.compile(r"offers\s*\{([^{}]*)\}\s*requests\s*\{([^{}]*)\}", re.A)
 
 
 @dataclass
-class _ClauseLine:
-    head: str
-    body: tuple[str, ...]
-    kind: str
-    lineno: int
-    agent: str | None  # agent block active at this line
-
-
-@dataclass
 class _PayoffLine:
     participant: str
     form: str  # "goal" | "pairs"
@@ -82,21 +73,29 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
     def report(code: str, message: str, lineno: int, col: int | None = None) -> None:
         diags.append(Diagnostic(code, message, lineno, col))
 
-    def good_name(token: str, lineno: int, col: int | None = None) -> bool:
+    named: set[str] = set()  # tokens NAME_RE has accepted in this call
+
+    def good_name(token: str, lineno: int, line: str | None = None) -> bool:
+        """Check *token*; a finding gets the column of *token* in *line*, if given."""
+        if token in named:
+            return True
         if NAME_RE.match(token):
+            named.add(token)
             return True
         code = "reserved-identifier" if is_reserved_name(token) else "bad-identifier"
+        col = None if line is None else line.index(token) + 1
         report(code, f"{token!r} is not a valid name", lineno, col)
         return False
 
-    participants: list[str] = []
+    participants: set[str] = set()
     explicit_owner: dict[str, str] = {}
-    clause_lines: list[_ClauseLine] = []
+    # (clause, body in file order, line, agent block active at that line)
+    clause_lines: list[tuple[Clause, tuple[str, ...], int, str | None]] = []
     conflict_lines: list[tuple[str, str, int]] = []
     payoff_lines: list[_PayoffLine] = []
     active_agent: str | None = None
 
-    for lineno, raw in enumerate(text.lstrip("﻿").splitlines(), start=1):
+    for lineno, raw in enumerate(text.lstrip("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0]
         stripped = line.strip()
         if not stripped:
@@ -111,10 +110,9 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
                 report("bad-agent", "agent needs a name", lineno)
                 continue
             name = tokens[0]
-            if not good_name(name, lineno, line.index(name) + 1):
+            if not good_name(name, lineno, line):
                 continue
-            if name not in participants:
-                participants.append(name)
+            participants.add(name)
             active_agent = name
             if len(tokens) > 1:
                 if tokens[1] != "owns" or len(tokens) == 2:
@@ -150,7 +148,7 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
             if not head_text or " " in head_text or "\t" in head_text:
                 report("bad-clause", "clause needs a single head event", lineno)
                 continue
-            if not good_name(head_text, lineno, line.index(head_text) + 1):
+            if not good_name(head_text, lineno, line):
                 continue
             body: list[str] = []
             if body_text not in (None, "", "true"):
@@ -167,7 +165,7 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
                 if not ok:
                     continue
             clause_lines.append(
-                _ClauseLine(head_text, tuple(body), kind, lineno, active_agent)
+                (Clause(head_text, body, kind), tuple(body), lineno, active_agent)
             )
 
         elif directive == "conflict":
@@ -189,7 +187,7 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
             if not name or not spec_text:
                 report("bad-payoff", "payoff needs a participant and a form", lineno)
                 continue
-            if not good_name(name, lineno, line.index(name) + 1):
+            if not good_name(name, lineno, line):
                 continue
             goal_match = _GOAL_RE.fullmatch(spec_text)
             if goal_match:
@@ -225,39 +223,38 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
 
     # --- ownership resolution -------------------------------------------
     owner: dict[str, str] = dict(explicit_owner)
-    for cl in clause_lines:
-        if cl.head in owner:
+    for clause, _, lineno, agent in clause_lines:
+        if clause.head in owner:
             continue
-        if cl.agent is None:
+        if agent is None:
             report(
                 "no-active-agent",
-                f"clause head {cl.head!r} appears before any agent",
-                cl.lineno,
-            )
-        else:
-            owner[cl.head] = cl.agent
-    events = set(owner)
-
-    def declared(ev: str, lineno: int, role: str) -> None:
-        if ev not in events:
-            report(
-                "undeclared-event",
-                f"{role} uses {ev!r}, which is neither owned nor a clause head",
+                f"clause head {clause.head!r} appears before any agent",
                 lineno,
             )
+        else:
+            owner[clause.head] = agent
+    events = set(owner)
 
-    seen_clauses: set[tuple[str, frozenset[str], str]] = set()
-    for cl in clause_lines:
-        for ev in cl.body:
-            declared(ev, cl.lineno, f"clause for {cl.head!r}")
-        key = (cl.head, frozenset(cl.body), cl.kind)
-        if key in seen_clauses:
-            report("duplicate-clause", f"clause for {cl.head!r} repeated", cl.lineno)
-        seen_clauses.add(key)
+    def undeclared(names, lineno: int, role: str) -> None:
+        for ev in names:
+            if ev not in events:
+                report(
+                    "undeclared-event",
+                    f"{role} uses {ev!r}, which is neither owned nor a clause head",
+                    lineno,
+                )
+
+    clauses: set[Clause] = set()
+    for clause, body, lineno, _ in clause_lines:
+        if not clause.body <= events:
+            undeclared(body, lineno, f"clause for {clause.head!r}")
+        if clause in clauses:
+            report("duplicate-clause", f"clause for {clause.head!r} repeated", lineno)
+        clauses.add(clause)
 
     for e1, e2, lineno in conflict_lines:
-        declared(e1, lineno, "conflict")
-        declared(e2, lineno, "conflict")
+        undeclared((e1, e2), lineno, "conflict")
 
     payoff_form: dict[str, str] = {}
     goals: dict[str, frozenset[str]] = {}
@@ -270,11 +267,9 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
                 pl.lineno,
             )
             continue
-        for ev in sorted(pl.goal):
-            declared(ev, pl.lineno, "payoff")
+        undeclared(sorted(pl.goal - events), pl.lineno, "payoff")
         for offers, requests in pl.pairs:
-            for ev in sorted(offers | requests):
-                declared(ev, pl.lineno, "payoff")
+            undeclared(sorted((offers | requests) - events), pl.lineno, "payoff")
         before = payoff_form.get(pl.participant)
         if before is not None and before != pl.form:
             report(
@@ -309,7 +304,7 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
         events=events,
         participants=participants,
         owner=owner,
-        clauses=(Clause(cl.head, cl.body, cl.kind) for cl in clause_lines),
+        clauses=clauses,
         conflicts=((e1, e2) for e1, e2, _ in conflict_lines),
         payoffs=payoffs,
     )
@@ -333,20 +328,25 @@ _KIND_ORDER = {STANDARD: 0, CIRCULAR: 1}
 def print_spec(spec: ContractSpec) -> str:
     """Render a valid spec canonically; the result parses back equal."""
     lines: list[str] = []
+    owned: dict[str, list[str]] = {}
+    for e, p in spec.owner.items():
+        owned.setdefault(p, []).append(e)
     for p in sorted(spec.participants):
-        owned = sorted(spec.owned_by(p))
-        suffix = f" owns {' '.join(owned)}" if owned else ""
+        events = sorted(owned.get(p, ()))
+        suffix = f" owns {' '.join(events)}" if events else ""
         lines.append(f"agent {p}{suffix}")
-    for c in sorted(
-        spec.clauses, key=lambda c: (c.head, _KIND_ORDER[c.kind], sorted(c.body))
+    # The first three fields differ between distinct clauses, so the kind
+    # itself is never compared; each body is sorted once.
+    for head, _, body, kind in sorted(
+        (c.head, _KIND_ORDER[c.kind], sorted(c.body), c.kind) for c in spec.clauses
     ):
-        arrow = "<-" if c.kind == STANDARD else "<<-"
-        if c.body:
-            lines.append(f"clause {c.head} {arrow} {', '.join(sorted(c.body))}")
-        elif c.kind == STANDARD:
-            lines.append(f"clause {c.head}")
+        arrow = "<-" if kind == STANDARD else "<<-"
+        if body:
+            lines.append(f"clause {head} {arrow} {', '.join(body)}")
+        elif kind == STANDARD:
+            lines.append(f"clause {head}")
         else:
-            lines.append(f"clause {c.head} {arrow} true")
+            lines.append(f"clause {head} {arrow} true")
     for pair in sorted(spec.conflicts, key=sorted):
         lines.append(f"conflict {' '.join(sorted(pair))}")
     for p in sorted(spec.payoffs):

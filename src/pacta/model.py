@@ -230,60 +230,89 @@ def validate(spec: ContractSpec) -> list[Diagnostic]:
     """Check structural well-formedness, returning all findings.
 
     An empty result means the spec is usable by every operation that does not
-    impose extra preconditions of its own.
+    impose extra preconditions of its own.  Findings come in the order of the
+    names, clauses and pairs they are about; only those are sorted, so a clean
+    spec costs one pass over its parts and no sort.
     """
     out: list[Diagnostic] = []
+    events, participants = spec.events, spec.participants
 
     def bad(code: str, message: str) -> None:
         out.append(Diagnostic(code, message))
 
-    for e in sorted(spec.events):
-        if not NAME_RE.match(e):
-            kind = "reserved-identifier" if is_reserved_name(e) else "bad-identifier"
-            bad(kind, f"event name {e!r} is not a valid identifier")
-    for p in sorted(spec.participants):
-        if not NAME_RE.match(p):
-            kind = "reserved-identifier" if is_reserved_name(p) else "bad-identifier"
-            bad(kind, f"participant name {p!r} is not a valid identifier")
+    for role, names in (("event", events), ("participant", participants)):
+        for name in sorted(n for n in names if not NAME_RE.match(n)):
+            kind = "reserved-identifier" if is_reserved_name(name) else "bad-identifier"
+            bad(kind, f"{role} name {name!r} is not a valid identifier")
 
-    for e in sorted(spec.events):
-        if e not in spec.owner:
-            bad("unowned-event", f"event {e!r} has no owner")
-    for e, p in sorted(spec.owner.items()):
-        if e not in spec.events:
+    for e in sorted(events.difference(spec.owner)):
+        bad("unowned-event", f"event {e!r} has no owner")
+    for e, p in sorted(
+        (e, p) for e, p in spec.owner.items() if e not in events or p not in participants
+    ):
+        if e not in events:
             bad("unknown-event", f"owner entry for undeclared event {e!r}")
-        if p not in spec.participants:
+        if p not in participants:
             bad("unknown-participant", f"event {e!r} owned by undeclared participant {p!r}")
 
-    for c in sorted(spec.clauses, key=lambda c: (c.head, c.kind, sorted(c.body))):
-        if c.head not in spec.events:
+    # Each conflict pair is filed under one of its members, so a body is
+    # tested only against the pairs that touch it.  A two-event pair {x, y}
+    # is filed as partner y of x, and a set-disjointness test walks the
+    # smaller side, so an event in many pairs costs a body at most its size.
+    partners: dict[str, set[str]] = {}
+    other_pairs: dict[str | None, list[frozenset[str]]] = {}  # hand-built, not two events
+    for pair in spec.conflicts:
+        if len(pair) == 2:
+            x, y = pair
+            partners.setdefault(x, set()).add(y)
+        else:
+            other_pairs.setdefault(next(iter(pair), None), []).append(pair)
+
+    def incompatible(body: frozenset[str]) -> bool:
+        """``not spec.compatible(body)``; the empty pair is contained in every body."""
+        if any(not partners[x].isdisjoint(body) for x in body if x in partners):
+            return True
+        return bool(other_pairs) and any(
+            pair <= body for x in (None, *body) for pair in other_pairs.get(x, ())
+        )
+
+    suspect_clauses = (
+        c
+        for c in spec.clauses
+        if c.head not in events or not c.body <= events or incompatible(c.body)
+    )
+    for c in sorted(suspect_clauses, key=lambda c: (c.head, c.kind, sorted(c.body))):
+        if c.head not in events:
             bad("unknown-event", f"clause head {c.head!r} is not a declared event")
-        for b in sorted(c.body):
-            if b not in spec.events:
-                bad("unknown-event", f"clause for {c.head!r} uses undeclared event {b!r}")
-        if not spec.compatible(c.body):
+        for b in sorted(c.body - events):
+            bad("unknown-event", f"clause for {c.head!r} uses undeclared event {b!r}")
+        if incompatible(c.body):
             bad(
                 "conflicting-clause",
                 f"clause for {c.head!r} has a body that violates a conflict",
             )
 
-    for pair in sorted(spec.conflicts, key=sorted):
+    suspect_pairs = (pair for pair in spec.conflicts if len(pair) != 2 or not pair <= events)
+    for pair in sorted(suspect_pairs, key=sorted):
         if len(pair) != 2:
             bad("bad-conflict", f"conflict must involve exactly two events, got {sorted(pair)}")
             continue
-        for e in sorted(pair):
-            if e not in spec.events:
-                bad("unknown-event", f"conflict mentions undeclared event {e!r}")
+        for e in sorted(pair - events):
+            bad("unknown-event", f"conflict mentions undeclared event {e!r}")
 
-    for p, payoff in sorted(spec.payoffs.items()):
-        if p not in spec.participants:
+    def suspect_payoff(p: str, payoff: Payoff) -> bool:
+        if p not in participants or not isinstance(payoff, (GoalPayoff, OfferRequestPayoff)):
+            return True
+        return not payoff.events() <= events
+
+    for p, payoff in sorted(item for item in spec.payoffs.items() if suspect_payoff(*item)):
+        if p not in participants:
             bad("unknown-participant", f"payoff for undeclared participant {p!r}")
         if not isinstance(payoff, (GoalPayoff, OfferRequestPayoff)):
             bad("bad-payoff", f"payoff for {p!r} is not a recognised reachability payoff")
             continue
-        for e in sorted(payoff.events()):
-            if e not in spec.events:
-                bad("unknown-event", f"payoff for {p!r} mentions undeclared event {e!r}")
+        for e in sorted(payoff.events() - events):
+            bad("unknown-event", f"payoff for {p!r} mentions undeclared event {e!r}")
 
     return out
 

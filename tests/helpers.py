@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 from pacta import (
@@ -18,12 +20,14 @@ from pacta import (
     STANDARD,
     Clause,
     ContractSpec,
+    Diagnostic,
     GoalPayoff,
     HornTheory,
     OfferRequestPayoff,
     circ,
     std,
 )
+from pacta.model import NAME_RE, is_reserved_name
 
 DATA = Path(__file__).parent / "data"
 
@@ -201,6 +205,337 @@ def credit_closure_by_passes(rules, done):
         if kept == grant:
             return closed
         grant = kept
+
+
+# --- references for the contract loader ------------------------------------
+
+
+_GOAL_RE = re.compile(r"goal\s*\{([^{}]*)\}\s*", re.A)
+_PAIRS_SHAPE_RE = re.compile(r"(?:\s*offers\s*\{[^{}]*\}\s*requests\s*\{[^{}]*\})+\s*", re.A)
+_PAIR_RE = re.compile(r"offers\s*\{([^{}]*)\}\s*requests\s*\{([^{}]*)\}", re.A)
+
+
+@dataclass
+class _ClauseLine:
+    head: str
+    body: tuple[str, ...]
+    kind: str
+    lineno: int
+    agent: str | None  # agent block active at this line
+
+
+@dataclass
+class _PayoffLine:
+    participant: str
+    form: str  # "goal" | "pairs"
+    goal: frozenset[str]
+    pairs: list[tuple[frozenset[str], frozenset[str]]]
+    lineno: int
+
+
+def analyze_reference(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
+    """The parser as it was before names were checked once per call and
+    clauses built in the line loop: the reference ``dsl.analyze`` is checked
+    against."""
+    diags: list[Diagnostic] = []
+
+    def report(code: str, message: str, lineno: int, col: int | None = None) -> None:
+        diags.append(Diagnostic(code, message, lineno, col))
+
+    def good_name(token: str, lineno: int, col: int | None = None) -> bool:
+        if NAME_RE.match(token):
+            return True
+        code = "reserved-identifier" if is_reserved_name(token) else "bad-identifier"
+        report(code, f"{token!r} is not a valid name", lineno, col)
+        return False
+
+    participants: list[str] = []
+    explicit_owner: dict[str, str] = {}
+    clause_lines: list[_ClauseLine] = []
+    conflict_lines: list[tuple[str, str, int]] = []
+    payoff_lines: list[_PayoffLine] = []
+    active_agent: str | None = None
+
+    for lineno, raw in enumerate(text.lstrip("﻿").splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        stripped = line.strip()
+        if not stripped:
+            continue
+        parts = stripped.split(None, 1)
+        directive = parts[0]
+        rest = parts[1].strip() if len(parts) > 1 else ""
+
+        if directive == "agent":
+            tokens = rest.split()
+            if not tokens:
+                report("bad-agent", "agent needs a name", lineno)
+                continue
+            name = tokens[0]
+            if not good_name(name, lineno, line.index(name) + 1):
+                continue
+            if name not in participants:
+                participants.append(name)
+            active_agent = name
+            if len(tokens) > 1:
+                if tokens[1] != "owns" or len(tokens) == 2:
+                    report(
+                        "bad-agent",
+                        "expected 'owns' followed by events",
+                        lineno,
+                    )
+                    continue
+                for ev in tokens[2:]:
+                    if not good_name(ev, lineno):
+                        continue
+                    previous = explicit_owner.get(ev)
+                    if previous is not None and previous != name:
+                        report(
+                            "ownership-conflict",
+                            f"event {ev!r} already owned by {previous!r}",
+                            lineno,
+                        )
+                    else:
+                        explicit_owner[ev] = name
+
+        elif directive == "clause":
+            kind = STANDARD
+            head_text, body_text = rest, None
+            for symbol, sym_kind in (("<<-", CIRCULAR), ("↠", CIRCULAR), ("<-", STANDARD)):
+                at = rest.find(symbol)
+                if at != -1:
+                    head_text = rest[:at].strip()
+                    body_text = rest[at + len(symbol):].strip()
+                    kind = sym_kind
+                    break
+            if not head_text or " " in head_text or "\t" in head_text:
+                report("bad-clause", "clause needs a single head event", lineno)
+                continue
+            if not good_name(head_text, lineno, line.index(head_text) + 1):
+                continue
+            body: list[str] = []
+            if body_text not in (None, "", "true"):
+                ok = True
+                for item in body_text.split(","):
+                    item = item.strip()
+                    if not item:
+                        report("bad-clause", "empty entry in clause body", lineno)
+                        ok = False
+                    elif not good_name(item, lineno):
+                        ok = False
+                    else:
+                        body.append(item)
+                if not ok:
+                    continue
+            clause_lines.append(
+                _ClauseLine(head_text, tuple(body), kind, lineno, active_agent)
+            )
+
+        elif directive == "conflict":
+            tokens = rest.split()
+            if len(tokens) != 2:
+                report("bad-conflict", "conflict needs exactly two events", lineno)
+                continue
+            if not all(good_name(t, lineno) for t in tokens):
+                continue
+            if tokens[0] == tokens[1]:
+                report("self-conflict", f"event {tokens[0]!r} cannot conflict with itself", lineno)
+                continue
+            conflict_lines.append((tokens[0], tokens[1], lineno))
+
+        elif directive == "payoff":
+            pieces = rest.split(None, 1)
+            name = pieces[0] if pieces else ""
+            spec_text = pieces[1].strip() if len(pieces) > 1 else ""
+            if not name or not spec_text:
+                report("bad-payoff", "payoff needs a participant and a form", lineno)
+                continue
+            if not good_name(name, lineno, line.index(name) + 1):
+                continue
+            goal_match = _GOAL_RE.fullmatch(spec_text)
+            if goal_match:
+                events = goal_match.group(1).split()
+                if all(good_name(ev, lineno) for ev in events):
+                    payoff_lines.append(
+                        _PayoffLine(name, "goal", frozenset(events), [], lineno)
+                    )
+                continue
+            if _PAIRS_SHAPE_RE.fullmatch(spec_text):
+                pairs: list[tuple[frozenset[str], frozenset[str]]] = []
+                ok = True
+                for offers_text, requests_text in _PAIR_RE.findall(spec_text):
+                    offers = offers_text.split()
+                    requests = requests_text.split()
+                    if not all(good_name(ev, lineno) for ev in offers + requests):
+                        ok = False
+                        continue
+                    pairs.append((frozenset(offers), frozenset(requests)))
+                if ok:
+                    payoff_lines.append(
+                        _PayoffLine(name, "pairs", frozenset(), pairs, lineno)
+                    )
+                continue
+            report(
+                "bad-payoff",
+                "expected 'goal {events}' or 'offers {events} requests {events}'",
+                lineno,
+            )
+
+        else:
+            report("unknown-directive", f"unknown directive {directive!r}", lineno)
+
+    # --- ownership resolution -------------------------------------------
+    owner: dict[str, str] = dict(explicit_owner)
+    for cl in clause_lines:
+        if cl.head in owner:
+            continue
+        if cl.agent is None:
+            report(
+                "no-active-agent",
+                f"clause head {cl.head!r} appears before any agent",
+                cl.lineno,
+            )
+        else:
+            owner[cl.head] = cl.agent
+    events = set(owner)
+
+    def declared(ev: str, lineno: int, role: str) -> None:
+        if ev not in events:
+            report(
+                "undeclared-event",
+                f"{role} uses {ev!r}, which is neither owned nor a clause head",
+                lineno,
+            )
+
+    seen_clauses: set[tuple[str, frozenset[str], str]] = set()
+    for cl in clause_lines:
+        for ev in cl.body:
+            declared(ev, cl.lineno, f"clause for {cl.head!r}")
+        key = (cl.head, frozenset(cl.body), cl.kind)
+        if key in seen_clauses:
+            report("duplicate-clause", f"clause for {cl.head!r} repeated", cl.lineno)
+        seen_clauses.add(key)
+
+    for e1, e2, lineno in conflict_lines:
+        declared(e1, lineno, "conflict")
+        declared(e2, lineno, "conflict")
+
+    payoff_form: dict[str, str] = {}
+    goals: dict[str, frozenset[str]] = {}
+    pair_acc: dict[str, list[tuple[frozenset[str], frozenset[str]]]] = {}
+    for pl in payoff_lines:
+        if pl.participant not in participants:
+            report(
+                "unknown-participant",
+                f"payoff for undeclared agent {pl.participant!r}",
+                pl.lineno,
+            )
+            continue
+        for ev in sorted(pl.goal):
+            declared(ev, pl.lineno, "payoff")
+        for offers, requests in pl.pairs:
+            for ev in sorted(offers | requests):
+                declared(ev, pl.lineno, "payoff")
+        before = payoff_form.get(pl.participant)
+        if before is not None and before != pl.form:
+            report(
+                "mixed-payoff",
+                f"payoff for {pl.participant!r} mixes goal and offers/requests forms",
+                pl.lineno,
+            )
+            continue
+        payoff_form[pl.participant] = pl.form
+        if pl.form == "goal":
+            if pl.participant in goals:
+                report(
+                    "duplicate-goal",
+                    f"second goal payoff for {pl.participant!r}",
+                    pl.lineno,
+                )
+                continue
+            goals[pl.participant] = pl.goal
+        else:
+            pair_acc.setdefault(pl.participant, []).extend(pl.pairs)
+
+    if diags:
+        return None, diags
+
+    payoffs: dict[str, GoalPayoff | OfferRequestPayoff] = {}
+    for p, goal in goals.items():
+        payoffs[p] = GoalPayoff(goal)
+    for p, pairs in pair_acc.items():
+        payoffs[p] = OfferRequestPayoff(tuple(pairs))
+
+    spec = ContractSpec(
+        events=events,
+        participants=participants,
+        owner=owner,
+        clauses=(Clause(cl.head, cl.body, cl.kind) for cl in clause_lines),
+        conflicts=((e1, e2) for e1, e2, _ in conflict_lines),
+        payoffs=payoffs,
+    )
+    residual = validate_reference(spec)
+    if residual:
+        return None, residual
+    return spec, []
+
+
+def validate_reference(spec: ContractSpec) -> list[Diagnostic]:
+    """``model.validate`` as it was before it sorted only its findings and
+    indexed the conflicts: the reference ``validate`` is checked against."""
+    out: list[Diagnostic] = []
+
+    def bad(code: str, message: str) -> None:
+        out.append(Diagnostic(code, message))
+
+    for e in sorted(spec.events):
+        if not NAME_RE.match(e):
+            kind = "reserved-identifier" if is_reserved_name(e) else "bad-identifier"
+            bad(kind, f"event name {e!r} is not a valid identifier")
+    for p in sorted(spec.participants):
+        if not NAME_RE.match(p):
+            kind = "reserved-identifier" if is_reserved_name(p) else "bad-identifier"
+            bad(kind, f"participant name {p!r} is not a valid identifier")
+
+    for e in sorted(spec.events):
+        if e not in spec.owner:
+            bad("unowned-event", f"event {e!r} has no owner")
+    for e, p in sorted(spec.owner.items()):
+        if e not in spec.events:
+            bad("unknown-event", f"owner entry for undeclared event {e!r}")
+        if p not in spec.participants:
+            bad("unknown-participant", f"event {e!r} owned by undeclared participant {p!r}")
+
+    for c in sorted(spec.clauses, key=lambda c: (c.head, c.kind, sorted(c.body))):
+        if c.head not in spec.events:
+            bad("unknown-event", f"clause head {c.head!r} is not a declared event")
+        for b in sorted(c.body):
+            if b not in spec.events:
+                bad("unknown-event", f"clause for {c.head!r} uses undeclared event {b!r}")
+        if not spec.compatible(c.body):
+            bad(
+                "conflicting-clause",
+                f"clause for {c.head!r} has a body that violates a conflict",
+            )
+
+    for pair in sorted(spec.conflicts, key=sorted):
+        if len(pair) != 2:
+            bad("bad-conflict", f"conflict must involve exactly two events, got {sorted(pair)}")
+            continue
+        for e in sorted(pair):
+            if e not in spec.events:
+                bad("unknown-event", f"conflict mentions undeclared event {e!r}")
+
+    for p, payoff in sorted(spec.payoffs.items()):
+        if p not in spec.participants:
+            bad("unknown-participant", f"payoff for undeclared participant {p!r}")
+        if not isinstance(payoff, (GoalPayoff, OfferRequestPayoff)):
+            bad("bad-payoff", f"payoff for {p!r} is not a recognised reachability payoff")
+            continue
+        for e in sorted(payoff.events()):
+            if e not in spec.events:
+                bad("unknown-event", f"payoff for {p!r} mentions undeclared event {e!r}")
+
+    return out
 
 
 # --- exhaustive families and random generators ------------------------------

@@ -118,6 +118,17 @@ class TestSetValuedCommands:
         assert run("prudent", path("c3.ces")) == (0, "a\n", "")
         assert run("reachable", path("c3.ces")) == (0, "a\nb\n", "")
 
+    def test_empty_entry_in_an_event_list_is_a_precondition_error(self, run):
+        for argv in (
+            ("prudent", path("c3.ces"), "--past", "a,"),
+            ("urgent", path("delta1.ces"), "--past", ","),
+            ("check-trace", path("delta3.ces"), "--trace", "a,,a"),
+        ):
+            code, out, err = run(*argv)
+            assert (code, out) == (3, "")
+            assert err == f"error: empty entry in the event list {argv[-1]!r}\n"
+        assert run("prudent", path("c3.ces"), "--past", "") == (0, "a\n", "")
+
     def test_conflicted_spec_is_a_precondition_error_for_prudent(self, run):
         code, _, err = run("prudent", path("e5.ces"))
         assert code == 3
@@ -274,6 +285,15 @@ class TestErrorChannel:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_non_utf8_file_is_unreadable_input(self, run, tmp_path):
+        bad = tmp_path / "bad.ces"
+        bad.write_bytes(b"agent A\nclause a \xff\n")
+        for command in ("validate", "prove"):
+            code, out, err = run(command, str(bad))
+            assert (code, out) == (2, "")
+            [line] = err.splitlines()
+            assert line.startswith("error:") and str(bad) in line
 
     def test_parse_failure_reports_diagnostics_on_stderr(self, run):
         code, out, err = run("prove", path("broken.ces"))
