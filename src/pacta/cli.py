@@ -218,7 +218,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 def _parse_cells(text: str) -> list[tuple[int, int]]:
     cells = []
-    for item in _event_list(text):
+    for item in map(str.strip, text.split(",") if text.strip() else ()):
         i, dot, j = item.partition(".")
         if not dot or not i.isdigit() or not j.isdigit():
             raise SpecError(f"bad cell {item!r}; expected row.col like 2.3")

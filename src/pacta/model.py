@@ -14,6 +14,7 @@ Everything here is an immutable value object; the algorithms live in
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -221,9 +222,47 @@ class ContractSpec:
         return frozenset(e for e, p in self.owner.items() if p == participant)
 
     def compatible(self, done: Iterable[str]) -> bool:
-        """True when no conflicting pair is contained in *done*."""
+        """True when no conflicting pair is contained in *done*.
+
+        *done* is tested only against the pairs that touch it, through an
+        index of the pairs by member that is built on first use and kept in
+        the value's instance ``__dict__``.  ``conflicts`` is a frozenset, so
+        the index never goes stale; a new value builds its own.
+        """
+        if not self.conflicts:
+            return True
         done = frozenset(done)
-        return all(not pair <= done for pair in self.conflicts)
+        index = self.__dict__.get("_conflict_index")
+        if index is None:
+            index = self.__dict__["_conflict_index"] = _index_conflicts(self.conflicts)
+        partners, other_pairs = index
+        if any(not partners[x].isdisjoint(done) for x in done if x in partners):
+            return False
+        return not other_pairs or not any(
+            pair <= done for x in (None, *done) for pair in other_pairs.get(x, ())
+        )
+
+
+def _index_conflicts(
+    conflicts: frozenset[frozenset[str]],
+) -> tuple[dict[str, set[str]], dict[str | None, list[frozenset[str]]]]:
+    """File each conflict pair under one of its members.
+
+    A two-event pair {x, y} is filed as partner y of x; a set-disjointness
+    test walks the smaller side, so an event in many pairs costs a set at
+    most its size.  A hand-built pair of another size is filed whole under
+    one member, the empty pair under ``None``, which every set looks up: the
+    empty pair is contained in every set.
+    """
+    partners: dict[str, set[str]] = {}
+    other_pairs: dict[str | None, list[frozenset[str]]] = {}
+    for pair in conflicts:
+        if len(pair) == 2:
+            x, y = pair
+            partners.setdefault(x, set()).add(y)
+        else:
+            other_pairs.setdefault(next(iter(pair), None), []).append(pair)
+    return partners, other_pairs
 
 
 def validate(spec: ContractSpec) -> list[Diagnostic]:
@@ -231,90 +270,66 @@ def validate(spec: ContractSpec) -> list[Diagnostic]:
 
     An empty result means the spec is usable by every operation that does not
     impose extra preconditions of its own.  Findings come in the order of the
-    names, clauses and pairs they are about; only those are sorted, so a clean
-    spec costs one pass over its parts and no sort.
+    names, clauses and pairs they are about; each part is checked once and
+    only the parts with findings are sorted, so a clean spec costs one pass
+    over its parts and no sort.
     """
-    out: list[Diagnostic] = []
     events, participants = spec.events, spec.participants
+    # Sort key of a part -> its findings.  A key starts with the number of
+    # the section its part belongs to, so sections come out in this order.
+    found: dict[tuple, list[Diagnostic]] = {}
 
-    def bad(code: str, message: str) -> None:
-        out.append(Diagnostic(code, message))
+    def bad(key: tuple, code: str, message: str) -> None:
+        found.setdefault(key, []).append(Diagnostic(code, message))
 
-    for role, names in (("event", events), ("participant", participants)):
-        for name in sorted(n for n in names if not NAME_RE.match(n)):
-            kind = "reserved-identifier" if is_reserved_name(name) else "bad-identifier"
-            bad(kind, f"{role} name {name!r} is not a valid identifier")
+    for section, role, names in ((0, "event", events), (1, "participant", participants)):
+        for n in names:
+            if not NAME_RE.match(n):
+                kind = "reserved-identifier" if is_reserved_name(n) else "bad-identifier"
+                bad((section, n), kind, f"{role} name {n!r} is not a valid identifier")
 
-    for e in sorted(events.difference(spec.owner)):
-        bad("unowned-event", f"event {e!r} has no owner")
-    for e, p in sorted(
-        (e, p) for e, p in spec.owner.items() if e not in events or p not in participants
-    ):
+    for e in events.difference(spec.owner):
+        bad((2, e), "unowned-event", f"event {e!r} has no owner")
+    for e, p in spec.owner.items():
         if e not in events:
-            bad("unknown-event", f"owner entry for undeclared event {e!r}")
+            bad((3, e), "unknown-event", f"owner entry for undeclared event {e!r}")
         if p not in participants:
-            bad("unknown-participant", f"event {e!r} owned by undeclared participant {p!r}")
+            bad((3, e), "unknown-participant", f"event {e!r} owned by undeclared participant {p!r}")
 
-    # Each conflict pair is filed under one of its members, so a body is
-    # tested only against the pairs that touch it.  A two-event pair {x, y}
-    # is filed as partner y of x, and a set-disjointness test walks the
-    # smaller side, so an event in many pairs costs a body at most its size.
-    partners: dict[str, set[str]] = {}
-    other_pairs: dict[str | None, list[frozenset[str]]] = {}  # hand-built, not two events
-    for pair in spec.conflicts:
-        if len(pair) == 2:
-            x, y = pair
-            partners.setdefault(x, set()).add(y)
-        else:
-            other_pairs.setdefault(next(iter(pair), None), []).append(pair)
+    def clause_key(c: Clause) -> tuple:
+        return (4, c.head, c.kind, tuple(sorted(c.body)))
 
-    def incompatible(body: frozenset[str]) -> bool:
-        """``not spec.compatible(body)``; the empty pair is contained in every body."""
-        if any(not partners[x].isdisjoint(body) for x in body if x in partners):
-            return True
-        return bool(other_pairs) and any(
-            pair <= body for x in (None, *body) for pair in other_pairs.get(x, ())
-        )
-
-    suspect_clauses = (
-        c
-        for c in spec.clauses
-        if c.head not in events or not c.body <= events or incompatible(c.body)
-    )
-    for c in sorted(suspect_clauses, key=lambda c: (c.head, c.kind, sorted(c.body))):
+    for c in spec.clauses:
         if c.head not in events:
-            bad("unknown-event", f"clause head {c.head!r} is not a declared event")
-        for b in sorted(c.body - events):
-            bad("unknown-event", f"clause for {c.head!r} uses undeclared event {b!r}")
-        if incompatible(c.body):
-            bad(
-                "conflicting-clause",
-                f"clause for {c.head!r} has a body that violates a conflict",
-            )
+            bad(clause_key(c), "unknown-event", f"clause head {c.head!r} is not a declared event")
+        if not c.body <= events:
+            for b in sorted(c.body - events):
+                message = f"clause for {c.head!r} uses undeclared event {b!r}"
+                bad(clause_key(c), "unknown-event", message)
+        if not spec.compatible(c.body):
+            message = f"clause for {c.head!r} has a body that violates a conflict"
+            bad(clause_key(c), "conflicting-clause", message)
 
-    suspect_pairs = (pair for pair in spec.conflicts if len(pair) != 2 or not pair <= events)
-    for pair in sorted(suspect_pairs, key=sorted):
+    for pair in spec.conflicts:
         if len(pair) != 2:
-            bad("bad-conflict", f"conflict must involve exactly two events, got {sorted(pair)}")
+            message = f"conflict must involve exactly two events, got {sorted(pair)}"
+            bad((5, tuple(sorted(pair))), "bad-conflict", message)
             continue
         for e in sorted(pair - events):
-            bad("unknown-event", f"conflict mentions undeclared event {e!r}")
+            message = f"conflict mentions undeclared event {e!r}"
+            bad((5, tuple(sorted(pair))), "unknown-event", message)
 
-    def suspect_payoff(p: str, payoff: Payoff) -> bool:
-        if p not in participants or not isinstance(payoff, (GoalPayoff, OfferRequestPayoff)):
-            return True
-        return not payoff.events() <= events
-
-    for p, payoff in sorted(item for item in spec.payoffs.items() if suspect_payoff(*item)):
+    for p, payoff in spec.payoffs.items():
         if p not in participants:
-            bad("unknown-participant", f"payoff for undeclared participant {p!r}")
+            bad((6, p), "unknown-participant", f"payoff for undeclared participant {p!r}")
         if not isinstance(payoff, (GoalPayoff, OfferRequestPayoff)):
-            bad("bad-payoff", f"payoff for {p!r} is not a recognised reachability payoff")
+            message = f"payoff for {p!r} is not a recognised reachability payoff"
+            bad((6, p), "bad-payoff", message)
             continue
         for e in sorted(payoff.events() - events):
-            bad("unknown-event", f"payoff for {p!r} mentions undeclared event {e!r}")
+            bad((6, p), "unknown-event", f"payoff for {p!r} mentions undeclared event {e!r}")
 
-    return out
+    return [d for key in sorted(found) for d in found[key]]
 
 
 def ensure_valid(spec: ContractSpec) -> None:
@@ -331,23 +346,29 @@ def check_play(spec: ContractSpec, play: Iterable[str]) -> tuple[str, ...]:
     sides of a conflict.  Enabling is *not* checked here: plays on credit are
     legitimate, that is the whole point of circular clauses.
 
-    A valid play is accepted by whole-set checks; only an invalid one is
-    walked step by step, to name the first offending position.
+    A valid play is accepted by whole-set checks.  An invalid one is walked
+    to its first unknown or repeated event; a prefix can only lose
+    compatibility as it grows, so the first event before that one to complete
+    a conflict is found by bisection.  Either way the first offending position
+    is named.
     """
     seq = tuple(play)
     whole = frozenset(seq)
     if len(whole) == len(seq) and whole <= spec.events and spec.compatible(whole):
         return seq
     seen: set[str] = set()
+    stop = len(seq)
     for i, e in enumerate(seq):
-        if e not in spec.events:
-            raise InvalidPlayError(f"position {i}: {e!r} is not an event of the contract")
-        if e in seen:
-            raise InvalidPlayError(f"position {i}: event {e!r} repeated")
+        if e not in spec.events or e in seen:
+            stop = i
+            break
         seen.add(e)
-        if not spec.compatible(seen):
-            raise InvalidPlayError(f"position {i}: event {e!r} conflicts with an earlier event")
-    raise AssertionError("unreachable: the whole-set checks accept every valid play")
+    i = bisect_left(range(stop), True, key=lambda j: not spec.compatible(seq[: j + 1]))
+    if i < stop:
+        raise InvalidPlayError(f"position {i}: event {seq[i]!r} conflicts with an earlier event")
+    if seq[i] not in spec.events:
+        raise InvalidPlayError(f"position {i}: {seq[i]!r} is not an event of the contract")
+    raise InvalidPlayError(f"position {i}: event {seq[i]!r} repeated")
 
 
 def check_event_set(spec: ContractSpec, events: Iterable[str]) -> frozenset[str]:

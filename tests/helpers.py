@@ -23,6 +23,7 @@ from pacta import (
     Diagnostic,
     GoalPayoff,
     HornTheory,
+    InvalidPlayError,
     OfferRequestPayoff,
     circ,
     std,
@@ -479,6 +480,32 @@ def analyze_reference(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]
     return spec, []
 
 
+def compatible_reference(spec: ContractSpec, done) -> bool:
+    """``ContractSpec.compatible`` as it was before it indexed the conflict
+    pairs by member: a scan of every pair."""
+    done = frozenset(done)
+    return all(not pair <= done for pair in spec.conflicts)
+
+
+def check_play_reference(spec: ContractSpec, play) -> tuple[str, ...]:
+    """``model.check_play`` as it was before it bisected for the first
+    conflict: a conflict test after every step of an invalid play."""
+    seq = tuple(play)
+    whole = frozenset(seq)
+    if len(whole) == len(seq) and whole <= spec.events and compatible_reference(spec, whole):
+        return seq
+    seen: set[str] = set()
+    for i, e in enumerate(seq):
+        if e not in spec.events:
+            raise InvalidPlayError(f"position {i}: {e!r} is not an event of the contract")
+        if e in seen:
+            raise InvalidPlayError(f"position {i}: event {e!r} repeated")
+        seen.add(e)
+        if not compatible_reference(spec, seen):
+            raise InvalidPlayError(f"position {i}: event {e!r} conflicts with an earlier event")
+    raise AssertionError("unreachable: the whole-set checks accept every valid play")
+
+
 def validate_reference(spec: ContractSpec) -> list[Diagnostic]:
     """``model.validate`` as it was before it sorted only its findings and
     indexed the conflicts: the reference ``validate`` is checked against."""
@@ -511,7 +538,7 @@ def validate_reference(spec: ContractSpec) -> list[Diagnostic]:
         for b in sorted(c.body):
             if b not in spec.events:
                 bad("unknown-event", f"clause for {c.head!r} uses undeclared event {b!r}")
-        if not spec.compatible(c.body):
+        if not compatible_reference(spec, c.body):
             bad(
                 "conflicting-clause",
                 f"clause for {c.head!r} has a body that violates a conflict",

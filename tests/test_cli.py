@@ -254,6 +254,13 @@ class TestGen:
         assert run("gen", "shy-dancers", "--n", "3", "--circular", "zz")[0] == 3
         assert run("gen", "shy-dancers", "--n", "1")[0] == 3
 
+    def test_empty_cell_is_named_as_a_bad_cell(self, run):
+        assert run("gen", "shy-dancers", "--n", "3", "--circular", "1.1,") == (
+            3,
+            "",
+            "error: bad cell ''; expected row.col like 2.3\n",
+        )
+
 
 class TestOracle:
     def test_oracle_prove_matches_the_fast_command(self, run):

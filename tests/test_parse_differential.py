@@ -1,23 +1,26 @@
-"""The contract loader against the versions it replaced.
+"""The contract loader and the conflict checks against the versions they replaced.
 
-``analyze_reference`` and ``validate_reference`` in ``helpers`` are the
-earlier parser and validator, kept verbatim.  The current ones must return
+``analyze_reference``, ``validate_reference``, ``compatible_reference`` and
+``check_play_reference`` in ``helpers`` are the earlier parser, validator,
+conflict test and play check, kept verbatim.  The current ones must return
 the same spec and the same diagnostics: same codes, messages, lines, columns
-and order.  The corpus is every fixture, the printed form of seeded random
-specs, seeded line mutations of both, and hand-built specs that no file can
-express.
+and order.  The corpus is
+every fixture, the printed form of seeded random specs, seeded line mutations
+of both, and hand-built specs that no file can express.
 """
 
 import random
 
 from pacta import (
     CIRCULAR,
+    InvalidPlayError,
     STANDARD,
     Clause,
     ContractSpec,
     GoalPayoff,
     OfferRequestPayoff,
     analyze,
+    check_play,
     parse,
     print_spec,
     validate,
@@ -27,6 +30,8 @@ from helpers import (
     DATA,
     analyze_reference,
     budget,
+    check_play_reference,
+    compatible_reference,
     random_spec,
     validate_reference,
 )
@@ -260,8 +265,36 @@ def test_validate_keeps_the_meaning_of_odd_sized_pairs():
         found = validate(spec)
         assert found == validate_reference(spec)
         assert [d.code for d in found].count("conflicting-clause") == sum(
-            not spec.compatible(c.body) for c in spec.clauses
+            not compatible_reference(spec, c.body) for c in spec.clauses
         )
+
+
+def test_compatible_matches_the_reference_on_hand_built_specs():
+    rng = random.Random(16180)
+    for _ in range(5_000):
+        spec = hand_built_spec(rng)
+        for _ in range(4):
+            done = rng.sample(NAMES, rng.randint(0, 5))
+            assert spec.compatible(done) == compatible_reference(spec, done), (spec, done)
+
+
+def play_outcome(check, spec: ContractSpec, play: list[str]):
+    try:
+        return check(spec, play)
+    except InvalidPlayError as err:
+        return str(err)
+
+
+def test_check_play_matches_the_reference_on_hand_built_specs():
+    rng = random.Random(27182)
+    for _ in range(5_000):
+        spec = hand_built_spec(rng)
+        play = rng.sample(NAMES, rng.randint(1, len(NAMES)))
+        for _ in range(rng.randint(0, 2)):
+            play.insert(rng.randrange(len(play) + 1), rng.choice((*NAMES, "zz")))
+        assert play_outcome(check_play, spec, play) == play_outcome(
+            check_play_reference, spec, play
+        ), (spec, play)
 
 
 # --- cost ---------------------------------------------------------------------
@@ -280,3 +313,16 @@ def test_ten_thousand_clauses_and_conflicts_load_in_linear_time():
     with budget(2.0):
         spec = parse(text)
     assert (len(spec.clauses), len(spec.conflicts)) == (2 * n, 2 * n)
+
+
+def test_a_long_invalid_play_is_rejected_in_near_linear_time():
+    # A conflict test per step would copy and scan a growing prefix 4,000 times.
+    n = 4_000
+    owner = {f"{side}{i}": "A" for side in "xy" for i in range(n)}
+    spec = ContractSpec.of(owner, conflicts=[(f"x{i}", f"y{i}") for i in range(n)])
+    xs = [f"x{i}" for i in range(n)]
+    with budget(0.5):
+        assert play_outcome(check_play, spec, [*xs, "x0"]) == f"position {n}: event 'x0' repeated"
+        assert play_outcome(check_play, spec, [*xs, "y7"]) == (
+            f"position {n}: event 'y7' conflicts with an earlier event"
+        )
