@@ -1,11 +1,16 @@
 """Command-line interface.
 
 Every command reads a contract file (``-`` for stdin) except ``gen``, which
-writes one.  ``--json`` switches any command to a single JSON object on
-stdout with sorted keys.  Exit codes: 0 for success (and "yes" answers), 1
-for clean "no" answers (check-trace, agree, validate findings), 2 for usage
-and parse errors, 3 for precondition violations such as asking a
-conflict-sensitive question about a conflicted contract.
+writes one.  A command only computes its answer: an exit code, a JSON
+payload and a callable that builds its text lines.  :func:`main` is the one
+place that writes to stdout: with ``--json`` (before or after the command
+name) it prints the payload as a single JSON object with sorted keys,
+otherwise it builds and prints the text lines.
+
+Exit codes: 0 for success (and "yes" answers), 1 for clean "no" answers
+(check-trace, agree, validate findings), 2 for usage and parse errors, 3 for
+precondition violations such as asking a conflict-sensitive question about a
+conflicted contract.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from . import dsl, game, gen, logic, oracle
@@ -43,14 +49,6 @@ def _event_list(text: str) -> tuple[str, ...]:
     return items
 
 
-def _emit(payload: dict, args: argparse.Namespace, text_lines: list[str]) -> None:
-    if args.json_global or args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _fmt_play(seq: tuple[str, ...]) -> str:
     return ",".join(seq) if seq else "(empty)"
 
@@ -59,28 +57,52 @@ def _fmt_set(events: frozenset[str]) -> str:
     return " ".join(sorted(events)) if events else "(empty)"
 
 
-def _emit_set(args: argparse.Namespace, key: str, items: frozenset[str]) -> int:
-    """Emit a set one item per line (text) or as ``{key: [...]}`` (JSON)."""
-    ordered = sorted(items)
-    _emit({key: ordered}, args, ordered)
-    return 0
-
-
-def _emit_traces(args: argparse.Namespace, traces: frozenset[tuple[str, ...]]) -> int:
-    """Emit traces in shortlex order, one per line or as ``{"traces": [...]}``."""
-    ordered = sorted(traces, key=lambda t: (len(t), t))
-    _emit(
-        {"traces": [list(t) for t in ordered]},
-        args,
-        [" ".join(t) if t else "(empty)" for t in ordered],
-    )
-    return 0
-
-
 # --- commands --------------------------------------------------------------
 
+# A command's answer: exit code, JSON payload, and its text lines on demand.
+Answer = tuple[int, dict, Callable[[], list[str]]]
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+
+def _theory(args: argparse.Namespace) -> logic.HornTheory:
+    return logic.theory_of(_read_spec(args.file))
+
+
+def _set_answer(key: str, items: frozenset[str]) -> Answer:
+    """A set, one item per line (text) or as ``{key: [...]}`` (JSON)."""
+    ordered = sorted(items)
+    return 0, {key: ordered}, lambda: ordered
+
+
+def _traces_answer(traces: frozenset[tuple[str, ...]]) -> Answer:
+    """Traces in shortlex order, one per line or as ``{"traces": [...]}``."""
+    ordered = sorted(traces, key=lambda t: (len(t), t))
+    payload = {"traces": [list(t) for t in ordered]}
+    return 0, payload, lambda: [" ".join(t) if t else "(empty)" for t in ordered]
+
+
+def _verdict_answer(result: game.GameVerdict) -> Answer:
+    """The verdict rows of a finished play, shared by ``verdict`` and ``simulate``."""
+    rows = result.participants
+    payload = {
+        "play": list(result.play),
+        "participants": {
+            p: {"innocent": row.innocent, "credit_free": row.credit_free, "wins": row.wins}
+            for p, row in rows.items()
+        },
+    }
+
+    def lines() -> list[str]:
+        yn = {True: "yes", False: "no"}
+        return [
+            f"{p}: innocent={yn[row.innocent]} credit_free={yn[row.credit_free]}"
+            f" wins={yn[row.wins]}"
+            for p, row in sorted(rows.items())
+        ]
+
+    return 0, payload, lines
+
+
+def _cmd_validate(args: argparse.Namespace) -> Answer:
     spec, diags = dsl.analyze(_read_text(args.file))
     ok = spec is not None
     payload = {
@@ -90,43 +112,37 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             for d in diags
         ],
     }
-    _emit(payload, args, ["ok"] if ok else [d.render() for d in diags])
-    return 0 if ok else 1
+    return (0 if ok else 1), payload, lambda: (["ok"] if ok else [d.render() for d in diags])
 
 
-def _cmd_prove(args: argparse.Namespace) -> int:
-    theory = logic.theory_of(_read_spec(args.file))
-    return _emit_set(args, "provable", logic.provable_atoms(theory))
+def _cmd_prove(args: argparse.Namespace) -> Answer:
+    return _set_answer("provable", logic.provable_atoms(_theory(args)))
 
 
-def _cmd_traces(args: argparse.Namespace) -> int:
-    theory = logic.theory_of(_read_spec(args.file))
-    return _emit_traces(args, logic.proof_traces(theory, max_count=args.max))
+def _cmd_traces(args: argparse.Namespace) -> Answer:
+    return _traces_answer(logic.proof_traces(_theory(args), max_count=args.max))
 
 
-def _cmd_check_trace(args: argparse.Namespace) -> int:
-    theory = logic.theory_of(_read_spec(args.file))
-    ok = logic.is_proof_trace(theory, _event_list(args.trace))
-    _emit({"is_trace": ok}, args, ["yes" if ok else "no"])
-    return 0 if ok else 1
+def _cmd_check_trace(args: argparse.Namespace) -> Answer:
+    ok = logic.is_proof_trace(_theory(args), _event_list(args.trace))
+    return (0 if ok else 1), {"is_trace": ok}, lambda: ["yes" if ok else "no"]
 
 
-def _cmd_urgent(args: argparse.Namespace) -> int:
-    theory = logic.theory_of(_read_spec(args.file))
-    return _emit_set(args, "urgent", logic.urgent_atoms(theory, _event_list(args.past)))
+def _cmd_urgent(args: argparse.Namespace) -> Answer:
+    return _set_answer("urgent", logic.urgent_atoms(_theory(args), _event_list(args.past)))
 
 
-def _cmd_prudent(args: argparse.Namespace) -> int:
+def _cmd_prudent(args: argparse.Namespace) -> Answer:
     spec = _read_spec(args.file)
-    return _emit_set(args, "prudent", game.prudent_events(spec, _event_list(args.past)))
+    return _set_answer("prudent", game.prudent_events(spec, _event_list(args.past)))
 
 
-def _cmd_reachable(args: argparse.Namespace) -> int:
+def _cmd_reachable(args: argparse.Namespace) -> Answer:
     spec = _read_spec(args.file)
-    return _emit_set(args, "reachable", game.reachable(spec, _event_list(args.past)))
+    return _set_answer("reachable", game.reachable(spec, _event_list(args.past)))
 
 
-def _cmd_credits(args: argparse.Namespace) -> int:
+def _cmd_credits(args: argparse.Namespace) -> Answer:
     spec = _read_spec(args.file)
     play = _event_list(args.play)
     ledger = game.credits(spec, play)
@@ -135,76 +151,47 @@ def _cmd_credits(args: argparse.Namespace) -> int:
         "per_prefix": [sorted(c) for c in ledger.per_prefix],
         "final": sorted(ledger.final),
     }
-    lines = [
-        f"after {_fmt_play(tuple(play[:i]))}: {_fmt_set(c)}"
-        for i, c in enumerate(ledger.per_prefix)
-    ]
-    _emit(payload, args, lines)
-    return 0
-
-
-def _verdict_payload(seq: tuple[str, ...], result: game.GameVerdict) -> dict:
-    return {
-        "play": list(seq),
-        "participants": {
-            p: {"innocent": row.innocent, "credit_free": row.credit_free, "wins": row.wins}
-            for p, row in result.participants.items()
-        },
-    }
-
-
-def _verdict_lines(result: game.GameVerdict) -> list[str]:
-    def yn(flag: bool) -> str:
-        return "yes" if flag else "no"
-
-    return [
-        f"{p}: innocent={yn(row.innocent)} credit_free={yn(row.credit_free)} wins={yn(row.wins)}"
-        for p, row in sorted(result.participants.items())
+    return 0, payload, lambda: [
+        f"after {_fmt_play(play[:i])}: {_fmt_set(c)}" for i, c in enumerate(ledger.per_prefix)
     ]
 
 
-def _cmd_verdict(args: argparse.Namespace) -> int:
+def _cmd_verdict(args: argparse.Namespace) -> Answer:
     spec = _read_spec(args.file)
-    play = _event_list(args.play)
-    result = game.verdict(spec, play)
-    _emit(_verdict_payload(result.play, result), args, _verdict_lines(result))
-    return 0
+    return _verdict_answer(game.verdict(spec, _event_list(args.play)))
 
 
-def _cmd_agree(args: argparse.Namespace) -> int:
+def _cmd_agree(args: argparse.Namespace) -> Answer:
     spec = _read_spec(args.file)
     yes = game.agreement(spec)
     provable = game.provable_events(spec)
     payload = {"agreement": yes, "provable": sorted(provable)}
-    lines = [f"agreement: {'yes' if yes else 'no'}", f"provable: {_fmt_set(provable)}"]
-    _emit(payload, args, lines)
-    return 0 if yes else 1
+    return (0 if yes else 1), payload, lambda: [
+        f"agreement: {'yes' if yes else 'no'}",
+        f"provable: {_fmt_set(provable)}",
+    ]
 
 
-def _cmd_strategy(args: argparse.Namespace) -> int:
+def _cmd_strategy(args: argparse.Namespace) -> Answer:
     spec = _read_spec(args.file)
     strat = game.synthesize_strategy(spec, args.participant)
     past = _event_list(args.past)
     offers = sorted(strat.offers(past))
     payload = {"participant": args.participant, "past": list(past), "offers": offers}
-    _emit(payload, args, offers)
-    return 0
+    return 0, payload, lambda: offers
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> Answer:
     spec = _read_spec(args.file)
     strategies = [game.synthesize_strategy(spec, p) for p in sorted(spec.participants)]
-    play, result = game.simulate(spec, strategies, seed=args.seed)
-    payload = _verdict_payload(play, result)
+    _, result = game.simulate(spec, strategies, seed=args.seed)
+    code, payload, rows = _verdict_answer(result)
     payload["seed"] = args.seed
-    lines = [f"play: {_fmt_play(play)}"] + _verdict_lines(result)
-    _emit(payload, args, lines)
-    return 0
+    return code, payload, lambda: [f"play: {_fmt_play(result.play)}", *rows()]
 
 
-def _cmd_encode(args: argparse.Namespace) -> int:
-    theory = logic.theory_of(_read_spec(args.file))
-    encoded = logic.encode_urgency(theory)
+def _cmd_encode(args: argparse.Namespace) -> Answer:
+    encoded = logic.encode_urgency(_theory(args))
     payload = {
         "atoms": sorted(encoded.atoms),
         "clauses": [
@@ -212,8 +199,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
             for c in sorted(encoded.clauses, key=lambda c: (c.head, c.kind, sorted(c.body)))
         ],
     }
-    _emit(payload, args, [dsl.print_spec(logic.spec_of(encoded)).rstrip("\n")])
-    return 0
+    return 0, payload, lambda: [dsl.print_spec(logic.spec_of(encoded)).rstrip("\n")]
 
 
 def _parse_cells(text: str) -> list[tuple[int, int]]:
@@ -226,27 +212,25 @@ def _parse_cells(text: str) -> list[tuple[int, int]]:
     return cells
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> Answer:
     circular = None if args.circular == "all" else _parse_cells(args.circular)
     text = dsl.print_spec(gen.shy_dancers(args.n, circular))
-    _emit({"text": text}, args, [text.rstrip("\n")])
-    return 0
+    return 0, {"text": text}, lambda: [text.rstrip("\n")]
 
 
-def _cmd_oracle_prove(args: argparse.Namespace) -> int:
-    theory = logic.theory_of(_read_spec(args.file))
+def _cmd_oracle_prove(args: argparse.Namespace) -> Answer:
+    theory = _theory(args)
     provable = frozenset(a for a in theory.atoms if oracle.nd_provable(theory, a))
-    return _emit_set(args, "provable", provable)
+    return _set_answer("provable", provable)
 
 
-def _cmd_oracle_traces(args: argparse.Namespace) -> int:
-    theory = logic.theory_of(_read_spec(args.file))
-    return _emit_traces(args, oracle.traces_bruteforce(theory))
+def _cmd_oracle_traces(args: argparse.Namespace) -> Answer:
+    return _traces_answer(oracle.traces_bruteforce(_theory(args)))
 
 
-def _cmd_oracle_prudence(args: argparse.Namespace) -> int:
+def _cmd_oracle_prudence(args: argparse.Namespace) -> Answer:
     spec = _read_spec(args.file)
-    return _emit_set(args, "prudent", oracle.prudence_bruteforce(spec, _event_list(args.past)))
+    return _set_answer("prudent", oracle.prudence_bruteforce(spec, _event_list(args.past)))
 
 
 # --- parser ----------------------------------------------------------------
@@ -259,18 +243,18 @@ def build_parser() -> argparse.ArgumentParser:
         "proof traces, prudence, credits, agreements, and strategies.",
     )
     parser.add_argument(
-        "--json",
-        dest="json_global",
-        action="store_true",
-        help="emit a single JSON object instead of text",
+        "--json", action="store_true", help="emit a single JSON object instead of text"
     )
+    # SUPPRESS: an absent per-command flag leaves the global one's value alone.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON")
+    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help="emit JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("file", help="contract file, or - for stdin")
+    def add(name: str, func, help_text: str | None = None, into=sub):
+        """A command on one contract file; the oracle commands carry no help."""
+        listed = {"help": help_text} if help_text else {}
+        p = into.add_parser(name, parents=[common], **listed)
+        p.add_argument("file", help="contract file, or - for stdin" if help_text else None)
         p.set_defaults(func=func)
         return p
 
@@ -312,16 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force reference answers")
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
-    o = oracle_sub.add_parser("prove", parents=[common])
-    o.add_argument("file")
-    o.set_defaults(func=_cmd_oracle_prove)
-    o = oracle_sub.add_parser("traces", parents=[common])
-    o.add_argument("file")
-    o.set_defaults(func=_cmd_oracle_traces)
-    o = oracle_sub.add_parser("prudence", parents=[common])
-    o.add_argument("file")
+    add("prove", _cmd_oracle_prove, into=oracle_sub)
+    add("traces", _cmd_oracle_traces, into=oracle_sub)
+    o = add("prudence", _cmd_oracle_prudence, into=oracle_sub)
     o.add_argument("--past", default="", help="play so far, comma-separated")
-    o.set_defaults(func=_cmd_oracle_prudence)
 
     return parser
 
@@ -333,7 +311,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        if args.json:
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            for line in lines():
+                print(line)
+        return code
     except dsl.ParseError as exc:
         for d in exc.diagnostics:
             print(d.render(), file=sys.stderr)

@@ -445,14 +445,15 @@ def _verdict_rows(
     """
     rules = _rules(spec)
     done = frozenset(seq)
-    culprits = {spec.owner.get(e) for e in rules.next_events(done)}
-    final = rules.unjustified(seq)
+    owner = spec.owner.get  # None for an unowned head: no participant
+    culprits = {owner(e) for e in rules.next_events(done)} & spec.participants
+    debtors = {owner(e) for e in rules.unjustified(seq)}
     rows: dict[str, ParticipantVerdict] = {}
     for p in sorted(participants):
         inn = p not in culprits
-        cf = not (final & spec.owned_by(p))
-        others_culpable = any(q in culprits for q in spec.participants if q != p)
-        won = inn and (others_culpable or (cf and spec.payoffs[p].holds(done)))
+        cf = p not in debtors
+        # An innocent participant is no culprit, so any culprit is someone else.
+        won = inn and (bool(culprits) or (cf and spec.payoffs[p].holds(done)))
         rows[p] = ParticipantVerdict(innocent=inn, credit_free=cf, wins=won)
     return rows
 

@@ -138,7 +138,7 @@ class OfferRequestPayoff:
     Satisfied on an event set X when every honoured offer has its request
     honoured too (for all pairs, O ⊆ X implies R ⊆ X) and at least one
     request is fully in X.  With no pairs at all the payoff is never
-    satisfied.
+    satisfied; the DSL cannot write such a payoff, so ``validate`` reports it.
     """
 
     pairs: tuple[tuple[frozenset[str], frozenset[str]], ...]
@@ -326,6 +326,8 @@ def validate(spec: ContractSpec) -> list[Diagnostic]:
             message = f"payoff for {p!r} is not a recognised reachability payoff"
             bad((6, p), "bad-payoff", message)
             continue
+        if isinstance(payoff, OfferRequestPayoff) and not payoff.pairs:
+            bad((6, p), "bad-payoff", f"payoff for {p!r} has no offers/requests pair")
         for e in sorted(payoff.events() - events):
             bad((6, p), "unknown-event", f"payoff for {p!r} mentions undeclared event {e!r}")
 

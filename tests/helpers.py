@@ -558,6 +558,8 @@ def validate_reference(spec: ContractSpec) -> list[Diagnostic]:
         if not isinstance(payoff, (GoalPayoff, OfferRequestPayoff)):
             bad("bad-payoff", f"payoff for {p!r} is not a recognised reachability payoff")
             continue
+        if isinstance(payoff, OfferRequestPayoff) and not payoff.pairs:
+            bad("bad-payoff", f"payoff for {p!r} has no offers/requests pair")
         for e in sorted(payoff.events()):
             if e not in spec.events:
                 bad("unknown-event", f"payoff for {p!r} mentions undeclared event {e!r}")

@@ -302,6 +302,16 @@ class TestErrorChannel:
             [line] = err.splitlines()
             assert line.startswith("error:") and str(bad) in line
 
+    def test_a_failed_write_exits_two(self, capsys, monkeypatch):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError("No space left on device")
+
+        monkeypatch.setattr("sys.stdout", FullDisk())
+        for argv in (["prove", path("delta3.ces")], ["--json", "prove", path("delta3.ces")]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: No space left on device\n"
+
     def test_parse_failure_reports_diagnostics_on_stderr(self, run):
         code, out, err = run("prove", path("broken.ces"))
         assert code == 2
@@ -316,3 +326,59 @@ class TestErrorChannel:
 
     def test_no_arguments_at_all(self, run):
         assert run()[0] == 2
+
+
+# One argv per subcommand; between them they answer yes, no and a precondition error.
+EVERY_COMMAND = [
+    ("validate", path("broken.ces")),
+    ("prove", path("delta3.ces")),
+    ("traces", path("delta4.ces"), "--max", "2"),
+    ("check-trace", path("delta3.ces"), "--trace", "b,a"),
+    ("urgent", path("delta1.ces"), "--past", "a"),
+    ("prudent", path("c3.ces")),
+    ("reachable", path("c3.ces")),
+    ("credits", path("c3.ces"), "--play", "b,a"),
+    ("verdict", path("c3.ces"), "--play", "b,a"),
+    ("agree", path("c2.ces")),
+    ("strategy", path("c3.ces"), "--participant", "A"),
+    ("simulate", path("or_payoffs.ces"), "--seed", "3"),
+    ("encode", path("delta3.ces")),
+    ("gen", "shy-dancers", "--n", "2"),
+    ("oracle", "prove", path("delta2.ces")),
+    ("oracle", "traces", path("delta4.ces")),
+    ("oracle", "prudence", path("e5.ces"), "--past", "a"),
+    ("oracle", "prudence", path("star.ces")),
+]
+
+
+class TestOutputModes:
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda a: " ".join(a[:2]))
+    def test_every_command_answers_alike_in_text_and_both_json_positions(self, run, argv):
+        text = run(*argv)
+        front = run("--json", *argv)
+        back = run(*argv, "--json")
+        assert text[0] == front[0] == back[0]
+        assert front == back
+        code, out, err = front
+        if code == 3:
+            assert text == front and out == "" and err.startswith("error:")
+        else:
+            assert err == "" and text[2] == ""
+            assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+    def test_json_builds_no_text(self, run, monkeypatch):
+        def no_text(*_):
+            raise AssertionError("text built in --json mode")
+
+        monkeypatch.setattr("pacta.cli._fmt_play", no_text)
+        monkeypatch.setattr("pacta.cli._fmt_set", no_text)
+        for argv, code in (
+            (("credits", path("c3.ces"), "--play", "b,a"), 0),
+            (("verdict", path("c3.ces"), "--play", "b,a"), 0),
+            (("agree", path("c1.ces")), 0),
+            (("agree", path("c2.ces")), 1),
+            (("simulate", path("c1.ces")), 0),
+        ):
+            got, out, err = run(*argv, "--json")
+            assert (got, err) == (code, "")
+            assert json.loads(out)

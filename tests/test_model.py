@@ -17,6 +17,8 @@ from pacta import (
     check_play,
     circ,
     ensure_valid,
+    parse,
+    print_spec,
     std,
     validate,
 )
@@ -252,6 +254,18 @@ class TestValidate:
         assert "unknown-event" in codes(validate(spec))
         spec = ContractSpec.of(owner={"a": "A"}, payoffs={"A": "win big"})
         assert "bad-payoff" in codes(validate(spec))
+
+    def test_offer_request_payoff_without_pairs_is_a_bad_payoff(self):
+        # The DSL has no line for it, so printing would drop the payoff.
+        fs = frozenset
+        one_pair = OfferRequestPayoff(((fs({"a"}), fs({"b"})),))
+        spec = dataclasses.replace(c1(), payoffs={**c1().payoffs, "A": one_pair})
+        assert validate(spec) == []
+        assert parse(print_spec(spec)) == spec
+        spec = dataclasses.replace(spec, payoffs={**spec.payoffs, "A": OfferRequestPayoff(())})
+        assert [(d.code, d.message) for d in validate(spec)] == [
+            ("bad-payoff", "payoff for 'A' has no offers/requests pair")
+        ]
 
     def test_ensure_valid_raises_with_diagnostics(self):
         spec = ContractSpec.of(owner={"9a": "A"})

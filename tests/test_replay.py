@@ -3,9 +3,11 @@
 ``credits`` builds its ledger in one sweep over per-step credit intervals,
 every query on one spec value shares that value's ``RuleIndex``,
 and ``RuleIndex.next_events`` remembers its last answer, so the strategies
-``simulate`` asks at one step share one computation.  Each rewrite is checked
-here against the code it replaced and against the oracles, and two cost
-guards pin the linear behaviour.
+``simulate`` asks at one step share one computation.  Verdict rows map the
+culprits and debtors to their owners once instead of scanning every event and
+participant per participant.  Each rewrite is checked here against the code
+it replaced and against the oracles, and cost guards pin the linear
+behaviour.
 """
 
 import dataclasses
@@ -16,6 +18,7 @@ from pacta import (
     STANDARD,
     Clause,
     ContractSpec,
+    GoalPayoff,
     Strategy,
     credits,
     prudent_events,
@@ -23,8 +26,10 @@ from pacta import (
     simulate,
     std,
     synthesize_strategy,
+    verdict,
+    wins,
 )
-from pacta.game import RuleIndex, _rules
+from pacta.game import ParticipantVerdict, RuleIndex, _rules
 from pacta.oracle import _final_credits
 
 from helpers import (
@@ -188,4 +193,62 @@ def test_simulating_ten_by_ten_dancers_stays_cheap():
     with budget(2):
         play, result = simulate(spec, synthesized(spec), seed=0)
     assert frozenset(play) == spec.events
+    assert all(row.wins for row in result.participants.values())
+
+
+def verdict_rows_reference(spec, seq):
+    """The verdict rows as first written: per participant, a scan of every
+    owned event and of every other participant."""
+    rules = RuleIndex(spec.clauses)
+    done = frozenset(seq)
+    culprits = {spec.owner.get(e) for e in rules.next_events(done)}
+    final = rules.unjustified(seq)
+    rows = {}
+    for p in spec.participants:
+        inn = p not in culprits
+        cf = not (final & spec.owned_by(p))
+        others_culpable = any(q in culprits for q in spec.participants if q != p)
+        won = inn and (others_culpable or (cf and spec.payoffs[p].holds(done)))
+        rows[p] = ParticipantVerdict(innocent=inn, credit_free=cf, wins=won)
+    return rows
+
+
+def test_verdict_rows_equal_the_per_participant_scan():
+    """Random conflict-free specs with a third party owning nothing, one event
+    in three left without an owner (so unowned heads turn up among the
+    prudent and the credited events), at every prefix of three plays."""
+    rng = random.Random(13)
+    checked = culpable_unowned = 0
+    for _ in range(400):
+        spec = random_contract(rng, max_events=7)
+        owner = {e: p for e, p in spec.owner.items() if rng.random() > 1 / 3}
+        participants = spec.participants | {"C"}
+        events = sorted(spec.events)
+        payoffs = {
+            p: GoalPayoff(frozenset(rng.sample(events, rng.randint(0, min(2, len(events))))))
+            for p in participants
+        }
+        spec = dataclasses.replace(
+            spec, owner=owner, participants=participants, conflicts=frozenset(), payoffs=payoffs
+        )
+        for play in plays_of(spec, rng):
+            for i in range(len(play) + 1):
+                seq = play[:i]
+                expected = verdict_rows_reference(spec, seq)
+                assert dict(verdict(spec, seq).participants) == expected
+                p = rng.choice(sorted(participants))
+                assert wins(spec, p, seq) == expected[p].wins
+                prudent = RuleIndex(spec.clauses).next_events(frozenset(seq))
+                culpable_unowned += not prudent <= owner.keys()
+                checked += 1
+    assert checked > 4_000 and culpable_unowned > 500
+
+
+def test_verdict_on_fifty_by_fifty_dancers_is_about_linear():
+    spec = shy_dancers(50)
+    play = tuple(sorted(spec.events))
+    _rules(spec).provable()
+    with budget(0.4):
+        result = verdict(spec, play)
+    assert len(result.participants) == 2_500
     assert all(row.wins for row in result.participants.values())
