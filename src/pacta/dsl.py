@@ -26,7 +26,6 @@ parses back to an equal specification.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .model import (
     CIRCULAR,
@@ -52,22 +51,25 @@ class ParseError(SpecError):
         super().__init__(text)
 
 
-_GOAL_RE = re.compile(r"goal\s*\{([^{}]*)\}\s*", re.A)
-_PAIRS_SHAPE_RE = re.compile(r"(?:\s*offers\s*\{[^{}]*\}\s*requests\s*\{[^{}]*\})+\s*", re.A)
+# One payoff form, whole: a goal, or the first offers/requests pair
+# (groups 2 and 3) and the text of any further pairs (group 4).
+_PAYOFF_RE = re.compile(
+    r"goal\s*\{([^{}]*)\}\s*"
+    r"|offers\s*\{([^{}]*)\}\s*requests\s*\{([^{}]*)\}"
+    r"((?:\s*offers\s*\{[^{}]*\}\s*requests\s*\{[^{}]*\})*)\s*",
+    re.A,
+)
 _PAIR_RE = re.compile(r"offers\s*\{([^{}]*)\}\s*requests\s*\{([^{}]*)\}", re.A)
 
 
-@dataclass
-class _PayoffLine:
-    participant: str
-    form: str  # "goal" | "pairs"
-    goal: frozenset[str]
-    pairs: list[tuple[frozenset[str], frozenset[str]]]
-    lineno: int
-
-
 def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
-    """Parse *text*, returning the spec or every problem found (never both)."""
+    """Parse *text*, returning the spec or every problem found (never both).
+
+    Each line takes one path per directive.  A name is looked up in the set
+    of names already accepted in this call before ``NAME_RE`` is asked, so a
+    well-formed line costs a few string splits and set lookups; the checks
+    that name a problem run only for a line that fails those lookups.
+    """
     diags: list[Diagnostic] = []
 
     def report(code: str, message: str, lineno: int, col: int | None = None) -> None:
@@ -89,28 +91,109 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
 
     participants: set[str] = set()
     explicit_owner: dict[str, str] = {}
-    # (clause, body in file order, line, agent block active at that line)
-    clause_lines: list[tuple[Clause, tuple[str, ...], int, str | None]] = []
+    clauses: set[Clause] = set()
+    # (clause, body in file order, line, repeats an earlier clause)
+    clause_lines: list[tuple[Clause, list[str], int, bool]] = []
+    # (head, line, agent block active at that line) of heads not yet owned
+    unowned_heads: list[tuple[str, int, str | None]] = []
     conflict_lines: list[tuple[str, str, int]] = []
-    payoff_lines: list[_PayoffLine] = []
+    # (participant, goal or None for the pairs form, pairs, line)
+    payoff_lines: list[tuple[str, frozenset[str] | None, list, int]] = []
     active_agent: str | None = None
 
-    for lineno, raw in enumerate(text.lstrip("\ufeff").splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        stripped = line.strip()
-        if not stripped:
+    for lineno, line in enumerate(text.lstrip("\ufeff").splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        parts = line.split(None, 1)
+        if not parts:
             continue
-        parts = stripped.split(None, 1)
         directive = parts[0]
-        rest = parts[1].strip() if len(parts) > 1 else ""
+        rest = parts[1] if len(parts) > 1 else ""
 
-        if directive == "agent":
+        # Clause and payoff lines are the bulk of a file: they are tested first.
+        if directive == "clause":
+            # Of the arrows present, the first of "<<-", "↠", "<-" in that
+            # order splits the line; with none, the whole line is the head.
+            if "<<-" in rest:
+                head_text, _, body_text = rest.partition("<<-")
+                kind = CIRCULAR
+            elif "↠" in rest:
+                head_text, _, body_text = rest.partition("↠")
+                kind = CIRCULAR
+            else:
+                head_text, _, body_text = rest.partition("<-")
+                kind = STANDARD
+            head_text = head_text.strip()
+            if not head_text or " " in head_text or "\t" in head_text:
+                report("bad-clause", "clause needs a single head event", lineno)
+                continue
+            if head_text not in named and not good_name(head_text, lineno, line):
+                continue
+            body_text = body_text.strip()
+            body: list[str] = []
+            if body_text and body_text != "true":
+                body = list(map(str.strip, body_text.split(",")))
+                if not named.issuperset(body):
+                    ok = True
+                    for item in body:
+                        if not item:
+                            report("bad-clause", "empty entry in clause body", lineno)
+                            ok = False
+                        elif not good_name(item, lineno):
+                            ok = False
+                    if not ok:
+                        continue
+            clause = Clause(head_text, body, kind)
+            size = len(clauses)
+            clauses.add(clause)
+            clause_lines.append((clause, body, lineno, len(clauses) == size))
+            if head_text not in explicit_owner:
+                unowned_heads.append((head_text, lineno, active_agent))
+
+        elif directive == "payoff":
+            pieces = rest.split(None, 1)
+            name = pieces[0] if pieces else ""
+            spec_text = pieces[1].strip() if len(pieces) > 1 else ""
+            if not name or not spec_text:
+                report("bad-payoff", "payoff needs a participant and a form", lineno)
+                continue
+            if name not in named and not good_name(name, lineno, line):
+                continue
+            match = _PAYOFF_RE.fullmatch(spec_text)
+            if match is None:
+                report(
+                    "bad-payoff",
+                    "expected 'goal {events}' or 'offers {events} requests {events}'",
+                    lineno,
+                )
+                continue
+            goal_text, offers_text, requests_text, more = match.groups()
+            if goal_text is not None:
+                goal = goal_text.split()
+                if named.issuperset(goal) or all(good_name(ev, lineno) for ev in goal):
+                    payoff_lines.append((name, frozenset(goal), [], lineno))
+                continue
+            pair_texts = [(offers_text, requests_text)]
+            if more:
+                pair_texts += _PAIR_RE.findall(more)
+            pairs: list[tuple[frozenset[str], frozenset[str]]] = []
+            for offers_text, requests_text in pair_texts:
+                offers = offers_text.split()
+                requests = requests_text.split()
+                if (named.issuperset(offers) and named.issuperset(requests)) or all(
+                    good_name(ev, lineno) for ev in offers + requests
+                ):
+                    pairs.append((frozenset(offers), frozenset(requests)))
+            if len(pairs) == len(pair_texts):
+                payoff_lines.append((name, None, pairs, lineno))
+
+        elif directive == "agent":
             tokens = rest.split()
             if not tokens:
                 report("bad-agent", "agent needs a name", lineno)
                 continue
             name = tokens[0]
-            if not good_name(name, lineno, line):
+            if name not in named and not good_name(name, lineno, line):
                 continue
             participants.add(name)
             active_agent = name
@@ -123,50 +206,15 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
                     )
                     continue
                 for ev in tokens[2:]:
-                    if not good_name(ev, lineno):
+                    if ev not in named and not good_name(ev, lineno):
                         continue
-                    previous = explicit_owner.get(ev)
-                    if previous is not None and previous != name:
+                    previous = explicit_owner.setdefault(ev, name)
+                    if previous != name:
                         report(
                             "ownership-conflict",
                             f"event {ev!r} already owned by {previous!r}",
                             lineno,
                         )
-                    else:
-                        explicit_owner[ev] = name
-
-        elif directive == "clause":
-            kind = STANDARD
-            head_text, body_text = rest, None
-            for symbol, sym_kind in (("<<-", CIRCULAR), ("↠", CIRCULAR), ("<-", STANDARD)):
-                at = rest.find(symbol)
-                if at != -1:
-                    head_text = rest[:at].strip()
-                    body_text = rest[at + len(symbol):].strip()
-                    kind = sym_kind
-                    break
-            if not head_text or " " in head_text or "\t" in head_text:
-                report("bad-clause", "clause needs a single head event", lineno)
-                continue
-            if not good_name(head_text, lineno, line):
-                continue
-            body: list[str] = []
-            if body_text not in (None, "", "true"):
-                ok = True
-                for item in body_text.split(","):
-                    item = item.strip()
-                    if not item:
-                        report("bad-clause", "empty entry in clause body", lineno)
-                        ok = False
-                    elif not good_name(item, lineno):
-                        ok = False
-                    else:
-                        body.append(item)
-                if not ok:
-                    continue
-            clause_lines.append(
-                (Clause(head_text, body, kind), tuple(body), lineno, active_agent)
-            )
 
         elif directive == "conflict":
             tokens = rest.split()
@@ -180,60 +228,24 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
                 continue
             conflict_lines.append((tokens[0], tokens[1], lineno))
 
-        elif directive == "payoff":
-            pieces = rest.split(None, 1)
-            name = pieces[0] if pieces else ""
-            spec_text = pieces[1].strip() if len(pieces) > 1 else ""
-            if not name or not spec_text:
-                report("bad-payoff", "payoff needs a participant and a form", lineno)
-                continue
-            if not good_name(name, lineno, line):
-                continue
-            goal_match = _GOAL_RE.fullmatch(spec_text)
-            if goal_match:
-                events = goal_match.group(1).split()
-                if all(good_name(ev, lineno) for ev in events):
-                    payoff_lines.append(
-                        _PayoffLine(name, "goal", frozenset(events), [], lineno)
-                    )
-                continue
-            if _PAIRS_SHAPE_RE.fullmatch(spec_text):
-                pairs: list[tuple[frozenset[str], frozenset[str]]] = []
-                ok = True
-                for offers_text, requests_text in _PAIR_RE.findall(spec_text):
-                    offers = offers_text.split()
-                    requests = requests_text.split()
-                    if not all(good_name(ev, lineno) for ev in offers + requests):
-                        ok = False
-                        continue
-                    pairs.append((frozenset(offers), frozenset(requests)))
-                if ok:
-                    payoff_lines.append(
-                        _PayoffLine(name, "pairs", frozenset(), pairs, lineno)
-                    )
-                continue
-            report(
-                "bad-payoff",
-                "expected 'goal {events}' or 'offers {events} requests {events}'",
-                lineno,
-            )
-
         else:
             report("unknown-directive", f"unknown directive {directive!r}", lineno)
 
     # --- ownership resolution -------------------------------------------
+    # A head owned when its line was read stays owned, so only the others
+    # are looked at again.
     owner: dict[str, str] = dict(explicit_owner)
-    for clause, _, lineno, agent in clause_lines:
-        if clause.head in owner:
+    for head, lineno, agent in unowned_heads:
+        if head in owner:
             continue
         if agent is None:
             report(
                 "no-active-agent",
-                f"clause head {clause.head!r} appears before any agent",
+                f"clause head {head!r} appears before any agent",
                 lineno,
             )
         else:
-            owner[clause.head] = agent
+            owner[head] = agent
     events = set(owner)
 
     def undeclared(names, lineno: int, role: str) -> None:
@@ -245,51 +257,50 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
                     lineno,
                 )
 
-    clauses: set[Clause] = set()
-    for clause, body, lineno, _ in clause_lines:
+    for clause, body, lineno, repeated in clause_lines:
         if not clause.body <= events:
             undeclared(body, lineno, f"clause for {clause.head!r}")
-        if clause in clauses:
+        if repeated:
             report("duplicate-clause", f"clause for {clause.head!r} repeated", lineno)
-        clauses.add(clause)
 
     for e1, e2, lineno in conflict_lines:
         undeclared((e1, e2), lineno, "conflict")
 
-    payoff_form: dict[str, str] = {}
+    payoff_form: dict[str, bool] = {}  # participant -> uses the goal form
     goals: dict[str, frozenset[str]] = {}
     pair_acc: dict[str, list[tuple[frozenset[str], frozenset[str]]]] = {}
-    for pl in payoff_lines:
-        if pl.participant not in participants:
+    for participant, goal, pairs, lineno in payoff_lines:
+        if participant not in participants:
             report(
                 "unknown-participant",
-                f"payoff for undeclared agent {pl.participant!r}",
-                pl.lineno,
+                f"payoff for undeclared agent {participant!r}",
+                lineno,
             )
             continue
-        undeclared(sorted(pl.goal - events), pl.lineno, "payoff")
-        for offers, requests in pl.pairs:
-            undeclared(sorted((offers | requests) - events), pl.lineno, "payoff")
-        before = payoff_form.get(pl.participant)
-        if before is not None and before != pl.form:
+        if goal is not None and not goal <= events:
+            undeclared(sorted(goal - events), lineno, "payoff")
+        for offers, requests in pairs:
+            if not (offers <= events and requests <= events):
+                undeclared(sorted((offers | requests) - events), lineno, "payoff")
+        is_goal = goal is not None
+        if payoff_form.setdefault(participant, is_goal) != is_goal:
             report(
                 "mixed-payoff",
-                f"payoff for {pl.participant!r} mixes goal and offers/requests forms",
-                pl.lineno,
+                f"payoff for {participant!r} mixes goal and offers/requests forms",
+                lineno,
             )
             continue
-        payoff_form[pl.participant] = pl.form
-        if pl.form == "goal":
-            if pl.participant in goals:
+        if is_goal:
+            if participant in goals:
                 report(
                     "duplicate-goal",
-                    f"second goal payoff for {pl.participant!r}",
-                    pl.lineno,
+                    f"second goal payoff for {participant!r}",
+                    lineno,
                 )
                 continue
-            goals[pl.participant] = pl.goal
+            goals[participant] = goal
         else:
-            pair_acc.setdefault(pl.participant, []).extend(pl.pairs)
+            pair_acc.setdefault(participant, []).extend(pairs)
 
     if diags:
         return None, diags

@@ -51,8 +51,9 @@ class RuleIndex:
 
     One pass over the clauses compiles both kinds: the standard clauses into
     the counter tables that ``_propagate`` runs on, so each fixpoint call
-    only copies a list of counts, and the circular bodies into the tables
-    ``_withdraw`` counts missing atoms on.
+    only copies a list of counts, and the circular bodies into a list.  The
+    table of circular bodies by atom, which ``_withdraw`` counts missing
+    atoms on, is built by the first withdrawal and kept in its slot.
     """
 
     __slots__ = (
@@ -76,23 +77,26 @@ class RuleIndex:
         self._std_heads: list[str] = []
         self._by_atom: dict[str, list[int]] = {}
         self._circ_heads: list[str] = []
-        self._circ_by_atom: dict[str, list[int]] = {}
+        self._circ_by_atom: dict[str, list[int]] | None = None
         self._circ_list: list[frozenset[str]] = []
         need: list[int] = []
         facts: set[str] = set()
+        std_bodies, std_heads, by_atom = self.std_bodies, self._std_heads, self._by_atom
+        circ_bodies, circ_heads, circ_list = self.circ_bodies, self._circ_heads, self._circ_list
         for c in clauses:
+            head, body = c.head, c.body
             if c.kind == STANDARD:
-                bodies, heads, table = self.std_bodies, self._std_heads, self._by_atom
-                need.append(len(c.body))
-                if not c.body:
-                    facts.add(c.head)
+                std_bodies.setdefault(head, []).append(body)
+                for a in body:
+                    by_atom.setdefault(a, []).append(len(need))
+                need.append(len(body))
+                std_heads.append(head)
+                if not body:
+                    facts.add(head)
             else:
-                bodies, heads, table = self.circ_bodies, self._circ_heads, self._circ_by_atom
-                self._circ_list.append(c.body)
-            bodies.setdefault(c.head, []).append(c.body)
-            for a in c.body:
-                table.setdefault(a, []).append(len(heads))
-            heads.append(c.head)
+                circ_bodies.setdefault(head, []).append(body)
+                circ_list.append(body)
+                circ_heads.append(head)
         self._heads = frozenset(self.std_bodies) | frozenset(self.circ_bodies)
         self._need = need
         self._facts = frozenset(facts)
@@ -162,7 +166,7 @@ class RuleIndex:
         of which used one (atoms of *base*, facts and grants still held are
         spared), then rederives, with ``_propagate``, the overdeleted atoms
         that some standard clause still supports.  Missing-atom counts per
-        circular body, on the tables ``__init__`` compiled, name the grants
+        circular body, on the table of bodies by atom, name the grants
         of the next batch: those whose last full body lost an atom.  Each
         batch touches only the clauses of the atoms it moves.
         """
@@ -171,6 +175,11 @@ class RuleIndex:
         std = self.std_bodies
         circ_heads = self._circ_heads
         circ_by_atom = self._circ_by_atom
+        if circ_by_atom is None:
+            circ_by_atom = self._circ_by_atom = {}
+            for k, body in enumerate(self._circ_list):
+                for a in body:
+                    circ_by_atom.setdefault(a, []).append(k)
         keep = base | self._facts
         missing = [len(b - closed) for b in self._circ_list]
         full = dict.fromkeys(self.circ_bodies, 0)  # bodies with none missing

@@ -94,10 +94,17 @@ class Clause:
     body: frozenset[str]
     kind: str = STANDARD
 
-    def __post_init__(self) -> None:
-        if self.kind not in (STANDARD, CIRCULAR):
-            raise ValueError(f"unknown clause kind: {self.kind!r}")
-        object.__setattr__(self, "body", frozenset(self.body))
+    def __init__(self, head: str, body: Iterable[str], kind: str = STANDARD):
+        # Written by hand so that a clause costs three attribute writes and no
+        # __post_init__ call: a loaded file builds one clause per line.  The
+        # writes go through object.__setattr__, not self.__dict__, which
+        # would turn the instance's inline values into a dict and make every
+        # later read and hash of the clause slower.
+        if kind not in (STANDARD, CIRCULAR):
+            raise ValueError(f"unknown clause kind: {kind!r}")
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "body", frozenset(body))
+        object.__setattr__(self, "kind", kind)
 
     def __repr__(self) -> str:  # keep test failure output readable
         arrow = "<-" if self.kind == STANDARD else "<<-"
@@ -144,9 +151,11 @@ class OfferRequestPayoff:
     pairs: tuple[tuple[frozenset[str], frozenset[str]], ...]
 
     def __post_init__(self) -> None:
-        # Normalise: pair order and duplicates carry no meaning.
+        # Normalise: pair order and duplicates carry no meaning.  Duplicates
+        # are dropped in input order, so pairs that come sorted (a printed
+        # file, or another payoff's pairs) sort in one linear pass.
         canon = sorted(
-            {(frozenset(o), frozenset(r)) for o, r in self.pairs},
+            dict.fromkeys((frozenset(o), frozenset(r)) for o, r in self.pairs),
             key=lambda pr: (sorted(pr[0]), sorted(pr[1])),
         )
         object.__setattr__(self, "pairs", tuple(canon))

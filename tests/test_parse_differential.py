@@ -6,7 +6,8 @@ conflict test and play check, kept verbatim.  The current ones must return
 the same spec and the same diagnostics: same codes, messages, lines, columns
 and order.  The corpus is
 every fixture, the printed form of seeded random specs, seeded line mutations
-of both, and hand-built specs that no file can express.
+of both, payoff lines of several pairs, large printed files and their
+mutations, and hand-built specs that no file can express.
 """
 
 import random
@@ -23,6 +24,8 @@ from pacta import (
     check_play,
     parse,
     print_spec,
+    shy_dancers,
+    spec_of,
     validate,
 )
 
@@ -33,6 +36,7 @@ from helpers import (
     check_play_reference,
     compatible_reference,
     random_spec,
+    standard_chain,
     validate_reference,
 )
 
@@ -211,6 +215,91 @@ def test_mutated_files_match_the_reference():
         seen |= {d.code for d in same_analysis(mutate(rng, base))}
     # Every finding the parser can make came up, so no branch went unchecked.
     assert seen == PARSER_CODES
+
+
+# --- payoff lines with several pairs --------------------------------------------
+#
+# The printer writes one pair per line, so neither the fixtures nor printed
+# specs reach the branch that reads the second and later pairs of a line.
+
+BAD_NAMES = ("9x", "R$a", "U$b", "a!b", "x-y")
+
+
+def _pair_text(rng: random.Random, offers, requests) -> str:
+    a, b, c = (rng.choice(("", " ", "  ", "\t")) for _ in range(3))
+    return f"offers{a}{{{' '.join(offers)}}}{b}requests{c}{{{' '.join(requests)}}}"
+
+
+def multi_pair_file(rng: random.Random) -> str:
+    """A printed random spec whose payoffs are rewritten as lines of 2-4
+    pairs, some with a bad name in a later pair, an undeclared event, a goal
+    line for the same participant or a broken last pair."""
+    spec = random_spec(rng, allow_conflicts=True)
+    lines = [line for line in print_spec(spec).splitlines() if not line.startswith("payoff")]
+    events = sorted(spec.events)
+    payoff_lines = []
+    for p in sorted(spec.participants):
+        pairs = [
+            [rng.sample(events, rng.randint(0, 2)), rng.sample(events, rng.randint(0, 2))]
+            for _ in range(rng.randint(2, 4))
+        ]
+        fault = rng.randrange(6)
+        if fault == 0:
+            pairs[1][rng.randrange(2)].append(rng.choice(BAD_NAMES))
+        elif fault == 1:
+            pairs[rng.randrange(len(pairs))][rng.randrange(2)].insert(0, "zz")
+        elif fault == 2:
+            goal = f"payoff {p} goal {{{' '.join(rng.sample(events, 1))}}}"
+            payoff_lines.append(goal)
+        texts = [_pair_text(rng, offers, requests) for offers, requests in pairs]
+        if fault == 3:
+            texts.append(rng.choice(("offers {a}", "requests {a}", "offers {a} requests")))
+        payoff_lines.append(f"payoff {p} " + rng.choice(("", " ", "\t")).join(texts))
+        if rng.random() < 0.3:
+            payoff_lines.append(f"payoff {p} " + _pair_text(rng, events[:1], events[-1:]))
+    rng.shuffle(payoff_lines)
+    return "\n".join(lines + payoff_lines) + "\n"
+
+
+def test_payoff_lines_with_several_pairs_match_the_reference():
+    rng = random.Random(5150)
+    seen = set()
+    several = 0
+    for _ in range(2_000):
+        text = multi_pair_file(rng)
+        seen |= {d.code for d in same_analysis(text)}
+        spec, _ = analyze(text)
+        if spec is not None:
+            several += any(len(p.pairs) > 1 for p in spec.payoffs.values())
+    assert {
+        "bad-identifier",
+        "reserved-identifier",
+        "undeclared-event",
+        "mixed-payoff",
+        "bad-payoff",
+    } <= seen
+    assert several > 100
+
+
+# --- files at size ------------------------------------------------------------
+#
+# The loader's gains are on files of thousands of lines, where names repeat
+# across lines; the fixtures and random specs above hold at most 5 events.
+
+
+def large_files():
+    for n in range(4, 11):
+        yield print_spec(shy_dancers(n))
+        yield print_spec(shy_dancers(n, [(1, 1), (1, 2), (2, 1), (2, 2)]))
+    yield print_spec(spec_of(standard_chain(4_096), "T"))
+
+
+def test_large_files_match_the_reference_as_printed_and_mutated():
+    rng = random.Random(8128)
+    for text in large_files():
+        assert same_analysis(text) == []
+        for _ in range(3):
+            same_analysis(mutate(rng, text))
 
 
 # --- validate -----------------------------------------------------------------
