@@ -18,6 +18,7 @@ A clause head that was not explicitly owned is assigned to the most recent
 bodies, conflicts, or payoffs must be declared via ``owns`` — silently
 inventing events is how typos survive, so it is an error.  ``↠`` is accepted
 as an alias for ``<<-`` on input; the printer always emits ``<-``/``<<-``.
+``true`` is the empty body, so it names no event or participant.
 
 The printer output is canonical (everything sorted, ownership explicit) and
 parses back to an equal specification.
@@ -30,6 +31,7 @@ import re
 from .model import (
     CIRCULAR,
     NAME_RE,
+    RESERVED_WORDS,
     STANDARD,
     Clause,
     ContractSpec,
@@ -81,10 +83,11 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
         """Check *token*; a finding gets the column of *token* in *line*, if given."""
         if token in named:
             return True
-        if NAME_RE.match(token):
+        reserved = token in RESERVED_WORDS
+        if not reserved and NAME_RE.match(token):
             named.add(token)
             return True
-        code = "reserved-identifier" if is_reserved_name(token) else "bad-identifier"
+        code = "reserved-identifier" if reserved or is_reserved_name(token) else "bad-identifier"
         col = None if line is None else line.index(token) + 1
         report(code, f"{token!r} is not a valid name", lineno, col)
         return False

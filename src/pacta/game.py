@@ -17,10 +17,13 @@ routines:
 Iterating ``next_events`` from the empty set yields exactly the events of the
 contract that can be brought about by prudent cooperation, which is what the
 agreement check is built on; ``provable`` gets the same set from a single
-``credit_closure`` of the empty set, once per index.  ``prudent`` checks a
-whole play step by step, each step against its own clauses, and
-``unjustified`` reads the credit ledger of a sequence; both serve the game
-queries here and proof traces in :mod:`pacta.logic`.  Each spec value builds
+``credit_closure`` of the empty set, once per index.  A prudent step never
+moves the credit closure, so every past inside ``provable`` has it as its
+credit closure: ``prudent`` checks a whole play step by step, each step
+against its own clauses and ``provable``, and ``next_events`` follows a
+prudent play by deltas.  ``unjustified`` reads the credit ledger of a
+sequence; both serve the game queries here and proof traces in
+:mod:`pacta.logic`.  Each spec value builds
 its index once and every query on it shares that one (:func:`_rules`).  All
 operations in this module work on finite plays.
 """
@@ -218,17 +221,47 @@ class RuleIndex:
     def next_events(self, done: frozenset[str]) -> frozenset[str]:
         """Events not yet in *done* that can be performed prudently now.
 
-        The last answer is kept, so asking again about the same *done* is a
-        set comparison: in ``simulate`` every strategy synthesized for one
-        spec asks once per step, and only the first of them computes.  The
-        key and the answer are stored as one tuple, so concurrent callers can
-        at worst compute again.
+        A prudent step never moves the credit closure: if ``e`` is in
+        ``credit_closure(X)``, then ``credit_closure(X ∪ {e})`` equals it.
+        (The largest consistent grant of ``X ∪ {e}``, joined with that of
+        ``X``, is consistent for ``X``, whose closure already holds ``e``.)
+        As ``credit_closure(∅)`` is ``provable()``, every ``X ⊆ provable()``
+        has ``credit_closure(X) = provable()``.
+
+        So the answer is found, cheapest first: the last answer again, for
+        the same *done* (tested by identity before equality; in ``simulate``
+        every strategy synthesized for one spec asks once per step with one
+        shared set); a delta, when *done* adds one event of the last answer
+        to its key: that answer, minus the event, plus the heads of the
+        standard clauses the event completes; the clauses read against
+        ``provable()``, when the index has already computed it and *done*
+        lies inside it; and only otherwise a full ``credit_closure``.  A
+        one-shot query never computes ``provable()`` to test the third.  The
+        key and the answer are stored as one tuple, so concurrent callers
+        can at worst compute again.
         """
         done = frozenset(done)
         last = self._last_next
-        if last is not None and last[0] == done:
-            return last[1]
-        closed = self.credit_closure(done)
+        if last is not None:
+            key, answer = last
+            if key is done or key == done:
+                return answer
+            if len(done) == len(key) + 1 and key <= done:
+                (e,) = done - key
+                if e in answer:
+                    heads, std = self._std_heads, self.std_bodies
+                    result = answer.difference((e,)).union(
+                        h
+                        for idx in self._by_atom.get(e, ())
+                        if (h := heads[idx]) not in done and any(b <= done for b in std[h])
+                    )
+                    self._last_next = (done, result)
+                    return result
+        provable = self._provable
+        if provable is not None and done <= provable:
+            closed = provable
+        else:
+            closed = self.credit_closure(done)
         out: set[str] = set()
         for e in self._heads:
             if e in done:
@@ -256,11 +289,18 @@ class RuleIndex:
         """Is every step of *seq* in ``next_events`` of the steps before it?
 
         Each step is checked against its own clauses: a standard body inside
-        its past passes it, and only otherwise is ``credit_closure`` of the
-        past asked for one of its circular bodies.  A repeated step never
-        passes: a done event is never next.
+        its past passes it, and only otherwise is one of its circular bodies
+        looked for inside ``provable()``.  That is the credit closure of the
+        past, because a prudent step never moves the credit closure (see
+        ``next_events``): by induction every step of a prudent prefix lies
+        in ``credit_closure(∅) = provable()``, and so does the prefix.  The
+        walk stops at the first step that fails, so ``provable()`` is
+        computed at most once, at the first step only a circular clause can
+        justify, and a play costs that closure plus the bodies of its steps.
+        A repeated step never passes: a done event is never next.
         """
         past: set[str] = set()
+        provable: frozenset[str] | None = None
         for e in seq:
             if e in past:
                 return False
@@ -268,8 +308,9 @@ class RuleIndex:
                 bodies = self.circ_bodies.get(e, ())
                 if not bodies:
                     return False
-                closed = self.credit_closure(past)
-                if not any(b <= closed for b in bodies):
+                if provable is None:
+                    provable = self.provable()
+                if not any(b <= provable for b in bodies):
                     return False
             past.add(e)
         return True
@@ -522,10 +563,30 @@ def synthesize_strategy(spec: ContractSpec, participant: str) -> Strategy:
     owned = spec.owned_by(participant)
 
     def choose(play: tuple[str, ...]) -> frozenset[str]:
-        seq = check_play(spec, play)
-        return rules.next_events(frozenset(seq)) & owned
+        return rules.next_events(_checked_events(spec, play)) & owned
 
     return Strategy(participant=participant, choose=choose)
+
+
+def _checked_events(spec: ContractSpec, play: Sequence[str]) -> frozenset[str]:
+    """The events of *play*, which ``check_play`` validates once per tuple.
+
+    The strategies synthesized for one spec are asked about the same tuple
+    at each ``simulate`` step, so only the first of them checks it and
+    builds the set; the rest find the tuple, by identity, in the memo kept
+    in the spec's instance ``__dict__``.  The memo holds the tuple, so its
+    identity cannot pass to another object while it is there; a play that
+    is not a tuple, or not the one remembered, is checked in full.  The
+    strategies then hand ``next_events`` one shared set, which its memo also
+    finds by identity.
+    """
+    last = spec.__dict__.get("_last_play")
+    if last is not None and last[0] is play:
+        return last[1]
+    done = frozenset(check_play(spec, play))
+    if type(play) is tuple:
+        spec.__dict__["_last_play"] = (play, done)
+    return done
 
 
 def simulate(
@@ -536,7 +597,8 @@ def simulate(
     """Run the strategies to quiescence under a fair scheduler.
 
     Exactly one strategy per participant is required.  At every step each
-    strategy is asked for offers (which must be owned and fresh; the spec is
+    strategy, in participant order, is asked for offers about one shared
+    tuple of the play so far (offers must be owned and fresh; the spec is
     conflict-free, so a fresh event is always playable);
     the scheduler fires the event whose uninterrupted offer streak started
     earliest, breaking ties uniformly at random with the given seed.  The loop
@@ -556,6 +618,7 @@ def simulate(
         raise PreconditionError(f"no strategy for: {', '.join(missing)}")
 
     rng = random.Random(seed)
+    in_order = [(p, by_part[p]) for p in sorted(by_part)]
     play: list[str] = []
     played: set[str] = set()
     streak_start: dict[str, int] = {}
@@ -563,8 +626,7 @@ def simulate(
     while True:
         snapshot = tuple(play)
         offered: set[str] = set()
-        for p in sorted(by_part):
-            strat = by_part[p]
+        for p, strat in in_order:
             for e in sorted(strat.offers(snapshot)):
                 if e not in spec.events or spec.owner.get(e) != p:
                     raise InvalidPlayError(

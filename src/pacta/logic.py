@@ -138,9 +138,12 @@ def iter_proof_traces(theory: HornTheory) -> Iterator[Trace]:
     Walks the prudent plays level by level: each play of length *k* is
     extended by its prudent next atoms in sorted order, so every level comes
     out lexicographically sorted.  Plays with an empty credit ledger are
-    the traces.
+    the traces.  Every walked play is prudent, so it lies inside
+    ``provable()``, which is computed up front: ``next_events`` then reads
+    the clauses against it and no play pays for a credit closure.
     """
     rules = RuleIndex(theory.clauses)
+    rules.provable()
     level: list[Trace] = [()]
     while level:
         longer: list[Trace] = []

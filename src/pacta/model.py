@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from itertools import chain
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -24,6 +25,10 @@ CIRCULAR = "circular"
 
 #: Names a contract file may use for events and participants.
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+#: Words of the contract language that no event or participant may be named:
+#: ``true`` is the empty clause body, so ``clause a <- true`` could not name it.
+RESERVED_WORDS = frozenset({"true"})
 
 #: Prefixes reserved for the urgency encoding (see :func:`pacta.logic.encode_urgency`).
 RESERVED_PREFIXES = ("R$", "U$")
@@ -166,10 +171,13 @@ class OfferRequestPayoff:
         return any(req <= done for _, req in self.pairs)
 
     def events(self) -> frozenset[str]:
-        out: set[str] = set()
-        for offer, req in self.pairs:
-            out |= offer | req
-        return frozenset(out)
+        """Every event of every pair, collected once per value and kept in
+        the instance ``__dict__`` (``pairs`` is a tuple of frozensets, so
+        the set never goes stale)."""
+        out = self.__dict__.get("_events")
+        if out is None:
+            out = self.__dict__["_events"] = frozenset(chain.from_iterable(chain(*self.pairs)))
+        return out
 
 
 Payoff = GoalPayoff | OfferRequestPayoff
@@ -228,7 +236,17 @@ class ContractSpec:
         )
 
     def owned_by(self, participant: str) -> frozenset[str]:
-        return frozenset(e for e, p in self.owner.items() if p == participant)
+        """The events *participant* owns, read off an index of the events
+        by owner that is built on first use and kept in the value's instance
+        ``__dict__``, as ``compatible`` keeps its conflict index."""
+        index = self.__dict__.get("_owned_index")
+        if index is None:
+            groups: dict[str, list[str]] = {}
+            for e, p in self.owner.items():
+                groups.setdefault(p, []).append(e)
+            index = {p: frozenset(events) for p, events in groups.items()}
+            self.__dict__["_owned_index"] = index
+        return index.get(participant, frozenset())
 
     def compatible(self, done: Iterable[str]) -> bool:
         """True when no conflicting pair is contained in *done*.
@@ -293,8 +311,9 @@ def validate(spec: ContractSpec) -> list[Diagnostic]:
 
     for section, role, names in ((0, "event", events), (1, "participant", participants)):
         for n in names:
-            if not NAME_RE.match(n):
-                kind = "reserved-identifier" if is_reserved_name(n) else "bad-identifier"
+            if n in RESERVED_WORDS or not NAME_RE.match(n):
+                reserved = n in RESERVED_WORDS or is_reserved_name(n)
+                kind = "reserved-identifier" if reserved else "bad-identifier"
                 bad((section, n), kind, f"{role} name {n!r} is not a valid identifier")
 
     for e in events.difference(spec.owner):

@@ -28,7 +28,7 @@ from pacta import (
     circ,
     std,
 )
-from pacta.model import NAME_RE, is_reserved_name
+from pacta.model import NAME_RE, RESERVED_WORDS, is_reserved_name
 
 DATA = Path(__file__).parent / "data"
 
@@ -195,6 +195,42 @@ def withdrawal_cascade(m):
     return spec, c, s
 
 
+def prudent_reference(rules, seq):
+    """``RuleIndex.prudent`` as it was before it read circular bodies
+    against ``provable()``: a full ``credit_closure`` of the past at every
+    step that only a circular clause can justify."""
+    past: set[str] = set()
+    for e in seq:
+        if e in past:
+            return False
+        if not any(b <= past for b in rules.std_bodies.get(e, ())):
+            bodies = rules.circ_bodies.get(e, ())
+            if not bodies:
+                return False
+            closed = rules.credit_closure(past)
+            if not any(b <= closed for b in bodies):
+                return False
+        past.add(e)
+    return True
+
+
+def next_events_reference(rules, done):
+    """``RuleIndex.next_events`` as it was before it answered by delta or
+    against ``provable()``, without its memo: a full ``credit_closure`` of
+    *done* for every question."""
+    done = frozenset(done)
+    closed = rules.credit_closure(done)
+    out = set()
+    for e in frozenset(rules.std_bodies) | frozenset(rules.circ_bodies):
+        if e in done:
+            continue
+        if any(b <= done for b in rules.std_bodies.get(e, ())):
+            out.add(e)
+        elif any(b <= closed for b in rules.circ_bodies.get(e, ())):
+            out.add(e)
+    return frozenset(out)
+
+
 def credit_closure_by_passes(rules, done):
     """The credit closure as one full ``closure`` per withdrawal pass: the
     reference ``RuleIndex.credit_closure`` is checked against."""
@@ -237,16 +273,18 @@ class _PayoffLine:
 def analyze_reference(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
     """The parser as it was before names were checked once per call and
     clauses built in the line loop: the reference ``dsl.analyze`` is checked
-    against."""
+    against.  It has since taken one rule over, with ``validate_reference``:
+    a name in ``RESERVED_WORDS`` is a ``reserved-identifier``."""
     diags: list[Diagnostic] = []
 
     def report(code: str, message: str, lineno: int, col: int | None = None) -> None:
         diags.append(Diagnostic(code, message, lineno, col))
 
     def good_name(token: str, lineno: int, col: int | None = None) -> bool:
-        if NAME_RE.match(token):
+        if NAME_RE.match(token) and token not in RESERVED_WORDS:
             return True
-        code = "reserved-identifier" if is_reserved_name(token) else "bad-identifier"
+        reserved = is_reserved_name(token) or token in RESERVED_WORDS
+        code = "reserved-identifier" if reserved else "bad-identifier"
         report(code, f"{token!r} is not a valid name", lineno, col)
         return False
 
@@ -514,13 +552,19 @@ def validate_reference(spec: ContractSpec) -> list[Diagnostic]:
     def bad(code: str, message: str) -> None:
         out.append(Diagnostic(code, message))
 
+    def name_kind(n: str) -> str | None:
+        if NAME_RE.match(n) and n not in RESERVED_WORDS:
+            return None
+        reserved = is_reserved_name(n) or n in RESERVED_WORDS
+        return "reserved-identifier" if reserved else "bad-identifier"
+
     for e in sorted(spec.events):
-        if not NAME_RE.match(e):
-            kind = "reserved-identifier" if is_reserved_name(e) else "bad-identifier"
+        kind = name_kind(e)
+        if kind:
             bad(kind, f"event name {e!r} is not a valid identifier")
     for p in sorted(spec.participants):
-        if not NAME_RE.match(p):
-            kind = "reserved-identifier" if is_reserved_name(p) else "bad-identifier"
+        kind = name_kind(p)
+        if kind:
             bad(kind, f"participant name {p!r} is not a valid identifier")
 
     for e in sorted(spec.events):

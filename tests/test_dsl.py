@@ -4,8 +4,11 @@ import pytest
 
 from pacta import (
     CIRCULAR,
+    STANDARD,
+    Clause,
     ContractSpec,
     GoalPayoff,
+    OfferRequestPayoff,
     ParseError,
     analyze,
     circ,
@@ -13,6 +16,7 @@ from pacta import (
     print_spec,
     spec_of,
     std,
+    validate,
 )
 
 from helpers import (
@@ -171,6 +175,20 @@ class TestDiagnostics:
         assert "reserved-identifier" in diag_codes("agent A owns R$a\n")
         assert "reserved-identifier" in diag_codes("agent A\nclause a!\n")
 
+    def test_true_names_no_event_or_participant(self):
+        for text in (
+            "agent true\n",
+            "agent A owns true a\nclause a <- true\n",
+            "agent A\nclause true\n",
+            "agent A owns a\nclause a <<- a, true\n",
+            "agent A owns a\npayoff A goal {true}\n",
+            "agent A owns a b\nconflict a true\n",
+        ):
+            assert diag_codes(text) == {"reserved-identifier"}, text
+        for owner, participants in (({"true": "A"}, ()), ({"a": "true"}, ()), ({}, ("true",))):
+            spec = ContractSpec.of(owner, participants=participants)
+            assert [d.code for d in validate(spec)] == ["reserved-identifier"], spec
+
     def test_residual_structural_check_runs_after_parsing(self):
         text = "agent A owns a b c\nclause a <- b, c\nconflict b c\n"
         assert diag_codes(text) == {"conflicting-clause"}
@@ -241,6 +259,46 @@ class TestRoundTrip:
             assert back == spec
             assert hash(back) == hash(spec)
             assert len({back, spec}) == 1
+
+    def test_keyword_and_random_names_round_trip(self):
+        """Names drawn from every word of the language and from random
+        identifiers: every spec ``validate`` accepts prints and parses back
+        equal, and a spec using ``true`` as a name is refused."""
+        keywords = ("agent", "owns", "clause", "conflict", "payoff", "goal", "offers",
+                    "requests", "true")
+        rng = random.Random(6)
+        letters = "abcdefghijklmnopqrstuvwxyz_"
+        refused = 0
+        for _ in range(3_000):
+            pool = sorted(set(rng.sample(keywords, rng.randint(1, 5))) | {
+                rng.choice(letters) + "".join(rng.choices(letters + "0123456789", k=rng.randint(0, 4)))
+                for _ in range(3)
+            })
+            events = rng.sample(pool, rng.randint(1, len(pool)))
+            parties = rng.sample(pool, rng.randint(1, min(2, len(pool))))
+            owner = {e: rng.choice(parties) for e in events}
+            clauses = {
+                Clause(rng.choice(events), rng.sample(events, rng.randint(0, min(2, len(events)))),
+                       rng.choice((STANDARD, CIRCULAR)))
+                for _ in range(rng.randint(0, 4))
+            }
+            def some():
+                return rng.sample(events, rng.randint(0, min(2, len(events))))
+
+            payoffs = {
+                p: GoalPayoff(some()) if rng.random() < 0.5
+                else OfferRequestPayoff(tuple((some(), some()) for _ in range(rng.randint(1, 2))))
+                for p in parties if rng.random() < 0.7
+            }
+            spec = ContractSpec.of(owner, clauses, payoffs=payoffs, participants=parties)
+            if "true" in spec.events | spec.participants:
+                assert "reserved-identifier" in {d.code for d in validate(spec)}, spec
+                refused += 1
+                continue
+            assert validate(spec) == [], spec
+            back = parse(print_spec(spec))
+            assert back == spec and hash(back) == hash(spec), spec
+        assert 500 < refused < 2_500
 
     def test_random_specs_round_trip(self):
         rng = random.Random(1729)

@@ -131,7 +131,9 @@ def _rename(rng, line):
     if len(words) < 2:
         return line
     i = rng.randrange(1, len(words))
-    words[i] = rng.choice(("R$a", "U$b", "a!b", "9x", "x-y", "zz", "A", "Bee", "true"))
+    words[i] = rng.choice(
+        ("R$a", "U$b", "a!b", "9x", "x-y", "zz", "A", "Bee", "true", "owns", "goal", "clause")
+    )
     return " ".join(words)
 
 
@@ -304,8 +306,8 @@ def test_large_files_match_the_reference_as_printed_and_mutated():
 
 # --- validate -----------------------------------------------------------------
 
-NAMES = ("a", "b", "c", "d", "R$a", "9x", "a!")
-PARTIES = ("A", "B", "U$P", "")
+NAMES = ("a", "b", "c", "d", "R$a", "9x", "a!", "true")
+PARTIES = ("A", "B", "U$P", "", "true")
 
 
 def hand_built_spec(rng: random.Random) -> ContractSpec:
