@@ -83,11 +83,11 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
         """Check *token*; a finding gets the column of *token* in *line*, if given."""
         if token in named:
             return True
-        reserved = token in RESERVED_WORDS
-        if not reserved and NAME_RE.match(token):
+        if NAME_RE.match(token):
             named.add(token)
             return True
-        code = "reserved-identifier" if reserved or is_reserved_name(token) else "bad-identifier"
+        reserved = token in RESERVED_WORDS or is_reserved_name(token)
+        code = "reserved-identifier" if reserved else "bad-identifier"
         col = None if line is None else line.index(token) + 1
         report(code, f"{token!r} is not a valid name", lineno, col)
         return False

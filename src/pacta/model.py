@@ -15,20 +15,23 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from itertools import chain
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 STANDARD = "standard"
 CIRCULAR = "circular"
 
-#: Names a contract file may use for events and participants.
-NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
 #: Words of the contract language that no event or participant may be named:
 #: ``true`` is the empty clause body, so ``clause a <- true`` could not name it.
 RESERVED_WORDS = frozenset({"true"})
+
+#: Names a contract file may use for events and participants: identifiers
+#: other than the reserved words.
+NAME_RE = re.compile(
+    rf"(?!(?:{'|'.join(sorted(RESERVED_WORDS))})\Z)[A-Za-z_][A-Za-z0-9_]*\Z"
+)
 
 #: Prefixes reserved for the urgency encoding (see :func:`pacta.logic.encode_urgency`).
 RESERVED_PREFIXES = ("R$", "U$")
@@ -311,7 +314,7 @@ def validate(spec: ContractSpec) -> list[Diagnostic]:
 
     for section, role, names in ((0, "event", events), (1, "participant", participants)):
         for n in names:
-            if n in RESERVED_WORDS or not NAME_RE.match(n):
+            if not NAME_RE.match(n):
                 reserved = n in RESERVED_WORDS or is_reserved_name(n)
                 kind = "reserved-identifier" if reserved else "bad-identifier"
                 bad((section, n), kind, f"{role} name {n!r} is not a valid identifier")

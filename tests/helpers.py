@@ -274,14 +274,15 @@ def analyze_reference(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]
     """The parser as it was before names were checked once per call and
     clauses built in the line loop: the reference ``dsl.analyze`` is checked
     against.  It has since taken one rule over, with ``validate_reference``:
-    a name in ``RESERVED_WORDS`` is a ``reserved-identifier``."""
+    a name in ``RESERVED_WORDS``, which ``NAME_RE`` now refuses, is a
+    ``reserved-identifier``."""
     diags: list[Diagnostic] = []
 
     def report(code: str, message: str, lineno: int, col: int | None = None) -> None:
         diags.append(Diagnostic(code, message, lineno, col))
 
     def good_name(token: str, lineno: int, col: int | None = None) -> bool:
-        if NAME_RE.match(token) and token not in RESERVED_WORDS:
+        if NAME_RE.match(token):
             return True
         reserved = is_reserved_name(token) or token in RESERVED_WORDS
         code = "reserved-identifier" if reserved else "bad-identifier"
@@ -553,7 +554,7 @@ def validate_reference(spec: ContractSpec) -> list[Diagnostic]:
         out.append(Diagnostic(code, message))
 
     def name_kind(n: str) -> str | None:
-        if NAME_RE.match(n) and n not in RESERVED_WORDS:
+        if NAME_RE.match(n):
             return None
         reserved = is_reserved_name(n) or n in RESERVED_WORDS
         return "reserved-identifier" if reserved else "bad-identifier"

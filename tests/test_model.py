@@ -95,6 +95,14 @@ class TestPayoffs:
         assert p1 == p2
         assert p1.events() == fs({"a", "b", "c", "d"})
 
+    def test_pair_events_are_collected_once_per_value(self):
+        fs = frozenset
+        p = OfferRequestPayoff(((fs({"a"}), fs({"b", "c"})), (fs(), fs({"d"})), (fs({"e"}), fs())))
+        assert p.events() == fs("abcde")
+        assert p.events() is p.events()
+        q = OfferRequestPayoff(p.pairs)
+        assert p == q and hash(p) == hash(q) and "_events" not in repr(p)
+
 
 class TestContractSpec:
     def test_of_derives_events_and_participants(self):
@@ -103,6 +111,17 @@ class TestContractSpec:
         assert spec.participants == frozenset({"A", "B"})
         assert spec.owned_by("A") == frozenset({"a"})
         assert spec.owned_by("nobody") == frozenset()
+
+    def test_owned_by_reads_one_index_per_value(self):
+        spec = ContractSpec.of(
+            owner={f"e{k}": f"P{k % 7}" for k in range(40)}, participants=["judge"]
+        )
+        for p in sorted(spec.participants) + ["nobody"]:
+            assert spec.owned_by(p) == {e for e, q in spec.owner.items() if q == p}, p
+        assert spec.owned_by("P0") is spec.owned_by("P0")
+        assert spec.owned_by("judge") == frozenset()
+        assert "_owned_index" not in repr(spec)
+        assert dataclasses.replace(spec).owned_by("P0") == spec.owned_by("P0")
 
     def test_observer_participants_are_kept(self):
         spec = ContractSpec.of(owner={"a": "A"}, participants=["judge"])
