@@ -22,6 +22,12 @@ as an alias for ``<<-`` on input; the printer always emits ``<-``/``<<-``.
 
 The printer output is canonical (everything sorted, ownership explicit) and
 parses back to an equal specification.
+
+Loading makes each check once.  The line checks of :func:`analyze` already
+make every check of :func:`~pacta.model.validate` but the clause-against-
+conflict one, so that one alone runs on the spec it builds, and only when
+the file has conflicts.  A loaded spec holds one frozenset per distinct
+event set, shared by the clause bodies and payoff pairs that hold it.
 """
 
 from __future__ import annotations
@@ -39,8 +45,9 @@ from .model import (
     GoalPayoff,
     OfferRequestPayoff,
     SpecError,
+    conflicting_clauses,
     is_reserved_name,
-    validate,
+    validate,  # noqa: F401 -- kept importable as pacta.dsl.validate
 )
 
 
@@ -70,7 +77,15 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
     Each line takes one path per directive.  A name is looked up in the set
     of names already accepted in this call before ``NAME_RE`` is asked, so a
     well-formed line costs a few string splits and set lookups; the checks
-    that name a problem run only for a line that fails those lookups.
+    that name a problem run only for a line that fails those lookups.  A
+    clause body or payoff form whose text was accepted earlier in the call
+    is not split or checked again, and reuses the frozensets built for it.
+
+    A spec is built only when no line check found anything, and then only
+    :func:`~pacta.model.conflicting_clauses` is asked about it: every other
+    check of ``validate`` holds by construction (names passed ``NAME_RE``,
+    every event has an owner that is a declared agent, and bodies,
+    conflicts and payoffs name only owned events and declared agents).
     """
     diags: list[Diagnostic] = []
 
@@ -91,6 +106,69 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
         col = None if line is None else line.index(token) + 1
         report(code, f"{token!r} is not a valid name", lineno, col)
         return False
+
+    # One frozenset per distinct event set, shared by every clause body and
+    # payoff pair that holds it.  Accepted clause body texts and payoff form
+    # texts map to what they read as, so a repeated text is read once.
+    sets: dict[frozenset[str], frozenset[str]] = {}
+    bodies: dict[str, tuple[list[str], frozenset[str]]] = {}
+    forms: dict[str, tuple[frozenset[str] | None, list]] = {}
+
+    def event_set(names: list[str]) -> frozenset[str]:
+        found = frozenset(names)
+        return sets.setdefault(found, found)
+
+    def read_body(body_text: str, lineno: int) -> tuple[list[str], frozenset[str]] | None:
+        """The body of a clause, in file order and as a set, or None."""
+        body: list[str] = []
+        stripped = body_text.strip()
+        if stripped and stripped != "true":
+            body = list(map(str.strip, stripped.split(",")))
+            if not named.issuperset(body):
+                ok = True
+                for item in body:
+                    if not item:
+                        report("bad-clause", "empty entry in clause body", lineno)
+                        ok = False
+                    elif not good_name(item, lineno):
+                        ok = False
+                if not ok:
+                    return None
+        bodies[body_text] = read = (body, event_set(body))
+        return read
+
+    def read_form(spec_text: str, lineno: int) -> tuple[frozenset[str] | None, list] | None:
+        """(goal, []) or (None, pairs) for the form of a payoff, or None."""
+        match = _PAYOFF_RE.fullmatch(spec_text)
+        if match is None:
+            report(
+                "bad-payoff",
+                "expected 'goal {events}' or 'offers {events} requests {events}'",
+                lineno,
+            )
+            return None
+        goal_text, offers_text, requests_text, more = match.groups()
+        if goal_text is not None:
+            goal = goal_text.split()
+            if not named.issuperset(goal) and not all(good_name(ev, lineno) for ev in goal):
+                return None
+            forms[spec_text] = form = (event_set(goal), [])
+            return form
+        pair_texts = [(offers_text, requests_text)]
+        if more:
+            pair_texts += _PAIR_RE.findall(more)
+        pairs: list[tuple[frozenset[str], frozenset[str]]] = []
+        for offers_text, requests_text in pair_texts:
+            offers = offers_text.split()
+            requests = requests_text.split()
+            if (named.issuperset(offers) and named.issuperset(requests)) or all(
+                good_name(ev, lineno) for ev in offers + requests
+            ):
+                pairs.append((event_set(offers), event_set(requests)))
+        if len(pairs) < len(pair_texts):
+            return None
+        forms[spec_text] = form = (None, pairs)
+        return form
 
     participants: set[str] = set()
     explicit_owner: dict[str, str] = {}
@@ -132,24 +210,13 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
                 continue
             if head_text not in named and not good_name(head_text, lineno, line):
                 continue
-            body_text = body_text.strip()
-            body: list[str] = []
-            if body_text and body_text != "true":
-                body = list(map(str.strip, body_text.split(",")))
-                if not named.issuperset(body):
-                    ok = True
-                    for item in body:
-                        if not item:
-                            report("bad-clause", "empty entry in clause body", lineno)
-                            ok = False
-                        elif not good_name(item, lineno):
-                            ok = False
-                    if not ok:
-                        continue
-            clause = Clause(head_text, body, kind)
+            read = bodies.get(body_text) or read_body(body_text, lineno)
+            if read is None:
+                continue
+            clause = Clause(head_text, read[1], kind)
             size = len(clauses)
             clauses.add(clause)
-            clause_lines.append((clause, body, lineno, len(clauses) == size))
+            clause_lines.append((clause, read[0], lineno, len(clauses) == size))
             if head_text not in explicit_owner:
                 unowned_heads.append((head_text, lineno, active_agent))
 
@@ -162,33 +229,10 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
                 continue
             if name not in named and not good_name(name, lineno, line):
                 continue
-            match = _PAYOFF_RE.fullmatch(spec_text)
-            if match is None:
-                report(
-                    "bad-payoff",
-                    "expected 'goal {events}' or 'offers {events} requests {events}'",
-                    lineno,
-                )
+            form = forms.get(spec_text) or read_form(spec_text, lineno)
+            if form is None:
                 continue
-            goal_text, offers_text, requests_text, more = match.groups()
-            if goal_text is not None:
-                goal = goal_text.split()
-                if named.issuperset(goal) or all(good_name(ev, lineno) for ev in goal):
-                    payoff_lines.append((name, frozenset(goal), [], lineno))
-                continue
-            pair_texts = [(offers_text, requests_text)]
-            if more:
-                pair_texts += _PAIR_RE.findall(more)
-            pairs: list[tuple[frozenset[str], frozenset[str]]] = []
-            for offers_text, requests_text in pair_texts:
-                offers = offers_text.split()
-                requests = requests_text.split()
-                if (named.issuperset(offers) and named.issuperset(requests)) or all(
-                    good_name(ev, lineno) for ev in offers + requests
-                ):
-                    pairs.append((frozenset(offers), frozenset(requests)))
-            if len(pairs) == len(pair_texts):
-                payoff_lines.append((name, None, pairs, lineno))
+            payoff_lines.append((name, *form, lineno))
 
         elif directive == "agent":
             tokens = rest.split()
@@ -322,7 +366,7 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
         conflicts=((e1, e2) for e1, e2, _ in conflict_lines),
         payoffs=payoffs,
     )
-    residual = validate(spec)
+    residual = [finding for _, finding in conflicting_clauses(spec)]
     if residual:
         return None, residual
     return spec, []

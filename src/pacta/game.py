@@ -589,6 +589,24 @@ def _checked_events(spec: ContractSpec, play: Sequence[str]) -> frozenset[str]:
     return done
 
 
+def _reject_offers(
+    p: str,
+    offers: frozenset[str],
+    mine: frozenset[str],
+    played: set[str],
+    snapshot: tuple[str, ...],
+) -> None:
+    """Raise for the first offer, in name order, that *p* may not make."""
+    for e in sorted(offers):
+        if e not in mine:
+            raise InvalidPlayError(f"strategy for {p!r} offered {e!r}, which it does not own")
+        if e in played:
+            raise InvalidPlayError(
+                f"strategy for {p!r} offered unplayable {e!r} after "
+                f"<{','.join(snapshot) or 'empty'}>"
+            )
+
+
 def simulate(
     spec: ContractSpec,
     strategies: Sequence[Strategy],
@@ -618,7 +636,8 @@ def simulate(
         raise PreconditionError(f"no strategy for: {', '.join(missing)}")
 
     rng = random.Random(seed)
-    in_order = [(p, by_part[p]) for p in sorted(by_part)]
+    # Each participant with the events it may offer: owned and declared.
+    in_order = [(p, by_part[p], spec.owned_by(p) & spec.events) for p in sorted(by_part)]
     play: list[str] = []
     played: set[str] = set()
     streak_start: dict[str, int] = {}
@@ -626,21 +645,14 @@ def simulate(
     while True:
         snapshot = tuple(play)
         offered: set[str] = set()
-        for p, strat in in_order:
-            for e in sorted(strat.offers(snapshot)):
-                if e not in spec.events or spec.owner.get(e) != p:
-                    raise InvalidPlayError(
-                        f"strategy for {p!r} offered {e!r}, which it does not own"
-                    )
-                if e in played:
-                    raise InvalidPlayError(
-                        f"strategy for {p!r} offered unplayable {e!r} after "
-                        f"<{','.join(snapshot) or 'empty'}>"
-                    )
-                offered.add(e)
+        for p, strat, mine in in_order:
+            offers = strat.offers(snapshot)
+            if not (offers <= mine and played.isdisjoint(offers)):
+                _reject_offers(p, offers, mine, played, snapshot)
+            offered |= offers
         streak_start = {e: t for e, t in streak_start.items() if e in offered}
-        for e in sorted(offered):
-            streak_start.setdefault(e, step)
+        for e in offered.difference(streak_start):
+            streak_start[e] = step
         if not offered:
             break
         oldest = min(streak_start.values())

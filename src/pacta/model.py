@@ -162,10 +162,10 @@ class OfferRequestPayoff:
         # Normalise: pair order and duplicates carry no meaning.  Duplicates
         # are dropped in input order, so pairs that come sorted (a printed
         # file, or another payoff's pairs) sort in one linear pass.
-        canon = sorted(
-            dict.fromkeys((frozenset(o), frozenset(r)) for o, r in self.pairs),
-            key=lambda pr: (sorted(pr[0]), sorted(pr[1])),
-        )
+        # Each distinct set is sorted once for the key.
+        pairs = dict.fromkeys((frozenset(o), frozenset(r)) for o, r in self.pairs)
+        key = {s: sorted(s) for s in set(chain.from_iterable(pairs))}
+        canon = sorted(pairs, key=lambda pr: (key[pr[0]], key[pr[1]]))
         object.__setattr__(self, "pairs", tuple(canon))
 
     def holds(self, done: frozenset[str]) -> bool:
@@ -295,6 +295,28 @@ def _index_conflicts(
     return partners, other_pairs
 
 
+def _clause_key(c: Clause) -> tuple:
+    """Where :func:`validate` puts the findings about clause *c*."""
+    return (4, c.head, c.kind, tuple(sorted(c.body)))
+
+
+def conflicting_clauses(spec: ContractSpec) -> list[tuple[tuple, Diagnostic]]:
+    """The ``conflicting-clause`` findings of *spec*, each with the sort key
+    of its clause, in key order: every clause whose body holds both events
+    of a conflict.  A spec without conflicts has none.
+    """
+    if not spec.conflicts:
+        return []
+    message = "clause for {!r} has a body that violates a conflict"
+    found = [
+        (_clause_key(c), Diagnostic("conflicting-clause", message.format(c.head)))
+        for c in spec.clauses
+        if not spec.compatible(c.body)
+    ]
+    found.sort(key=lambda kf: kf[0])
+    return found
+
+
 def validate(spec: ContractSpec) -> list[Diagnostic]:
     """Check structural well-formedness, returning all findings.
 
@@ -302,7 +324,9 @@ def validate(spec: ContractSpec) -> list[Diagnostic]:
     impose extra preconditions of its own.  Findings come in the order of the
     names, clauses and pairs they are about; each part is checked once and
     only the parts with findings are sorted, so a clean spec costs one pass
-    over its parts and no sort.
+    over its parts and no sort.  The ``conflicting-clause`` check is
+    :func:`conflicting_clauses`, which :func:`pacta.dsl.analyze` runs as its
+    only check of a built spec: its line checks make every other one.
     """
     events, participants = spec.events, spec.participants
     # Sort key of a part -> its findings.  A key starts with the number of
@@ -327,19 +351,15 @@ def validate(spec: ContractSpec) -> list[Diagnostic]:
         if p not in participants:
             bad((3, e), "unknown-participant", f"event {e!r} owned by undeclared participant {p!r}")
 
-    def clause_key(c: Clause) -> tuple:
-        return (4, c.head, c.kind, tuple(sorted(c.body)))
-
     for c in spec.clauses:
         if c.head not in events:
-            bad(clause_key(c), "unknown-event", f"clause head {c.head!r} is not a declared event")
+            bad(_clause_key(c), "unknown-event", f"clause head {c.head!r} is not a declared event")
         if not c.body <= events:
             for b in sorted(c.body - events):
                 message = f"clause for {c.head!r} uses undeclared event {b!r}"
-                bad(clause_key(c), "unknown-event", message)
-        if not spec.compatible(c.body):
-            message = f"clause for {c.head!r} has a body that violates a conflict"
-            bad(clause_key(c), "conflicting-clause", message)
+                bad(_clause_key(c), "unknown-event", message)
+    for key, finding in conflicting_clauses(spec):
+        found.setdefault(key, []).append(finding)
 
     for pair in spec.conflicts:
         if len(pair) != 2:

@@ -200,22 +200,37 @@ def traces_bruteforce(theory: HornTheory) -> frozenset[Trace]:
 # prudence from the game tree
 
 
-def _final_credits(spec: ContractSpec, seq: tuple[str, ...]) -> frozenset[str]:
+Bodies = dict[str, list[frozenset[str]]]
+
+
+def _bodies_by_head(spec: ContractSpec) -> tuple[Bodies, Bodies]:
+    """The bodies of the standard and of the circular clauses, each listed
+    under their heads."""
+    by_kind: dict[str, Bodies] = {STANDARD: {}, CIRCULAR: {}}
+    for c in spec.clauses:
+        by_kind[c.kind].setdefault(c.head, []).append(c.body)
+    return by_kind[STANDARD], by_kind[CIRCULAR]
+
+
+def _final_credits(
+    spec: ContractSpec,
+    seq: tuple[str, ...],
+    bodies: tuple[Bodies, Bodies] | None = None,
+) -> frozenset[str]:
+    """The events of *seq* that no clause justifies: no standard body done
+    before them, no circular body anywhere in *seq*.  *bodies* is
+    ``_bodies_by_head(spec)``, for a caller that asks about many plays."""
+    std_bodies, circ_bodies = bodies or _bodies_by_head(spec)
     whole = frozenset(seq)
+    past: set[str] = set()
     pending: set[str] = set()
-    for j, e in enumerate(seq):
-        past = frozenset(seq[:j])
-        justified = any(
-            c.body <= past
-            for c in spec.clauses
-            if c.head == e and c.kind == STANDARD
-        ) or any(
-            c.body <= whole
-            for c in spec.clauses
-            if c.head == e and c.kind == CIRCULAR
+    for e in seq:
+        justified = any(b <= past for b in std_bodies.get(e, ())) or any(
+            b <= whole for b in circ_bodies.get(e, ())
         )
         if not justified:
             pending.add(e)
+        past.add(e)
     return frozenset(pending)
 
 
@@ -244,7 +259,8 @@ def prudence_table(
 
     grow((), frozenset())
 
-    gamma = {p: _final_credits(spec, p) for p in plays}
+    bodies = _bodies_by_head(spec)
+    gamma = {p: _final_credits(spec, p, bodies) for p in plays}
     fireable = {
         p: tuple(
             e

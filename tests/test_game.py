@@ -321,6 +321,20 @@ class TestSimulate:
         with pytest.raises(InvalidPlayError, match="unplayable"):
             simulate(spec, [stuck, synthesize_strategy(spec, "B")])
 
+    def test_a_bad_offer_set_is_named_by_its_first_bad_offer(self):
+        spec = c1()
+        cases = (
+            (lambda play: {"zz", "b"}, "strategy for 'A' offered 'b', which it does not own"),
+            (
+                lambda play: {"zz", "a"} if play else {"a"},
+                "strategy for 'A' offered unplayable 'a' after <a>",
+            ),
+        )
+        for choose, message in cases:
+            with pytest.raises(InvalidPlayError) as err:
+                simulate(spec, [Strategy("A", choose), synthesize_strategy(spec, "B")])
+            assert str(err.value) == message
+
     def test_spec_preconditions(self):
         with pytest.raises(PreconditionError, match="conflict-free"):
             simulate(e5(), [])

@@ -76,6 +76,10 @@ VALIDATE_CODES = {
 def same_analysis(text: str) -> list:
     got = analyze(text)
     assert got == analyze_reference(text), text
+    # analyze runs no full validate on the spec it builds: its line checks
+    # must make every check validate makes.
+    if got[0] is not None:
+        assert validate(got[0]) == [], text
     return got[1]
 
 
@@ -289,11 +293,24 @@ def test_payoff_lines_with_several_pairs_match_the_reference():
 # across lines; the fixtures and random specs above hold at most 5 events.
 
 
+CORNER = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
 def large_files():
     for n in range(4, 11):
         yield print_spec(shy_dancers(n))
-        yield print_spec(shy_dancers(n, [(1, 1), (1, 2), (2, 1), (2, 2)]))
+        yield print_spec(shy_dancers(n, CORNER))
     yield print_spec(spec_of(standard_chain(4_096), "T"))
+
+
+def conflicted_grids():
+    """Printed corner grids with conflicts added: the two diagonal
+    neighbours of each dancer on the diagonal, a pair that clause bodies
+    hold, and one far pair that no body holds."""
+    for n in range(4, 15, 2):
+        lines = [f"conflict e{i}_{i + 1} e{i + 1}_{i}" for i in range(1, n)]
+        lines.append(f"conflict e1_1 e{n}_{n}")
+        yield print_spec(shy_dancers(n, CORNER)) + "\n".join(lines) + "\n"
 
 
 def test_large_files_match_the_reference_as_printed_and_mutated():
@@ -302,6 +319,12 @@ def test_large_files_match_the_reference_as_printed_and_mutated():
         assert same_analysis(text) == []
         for _ in range(3):
             same_analysis(mutate(rng, text))
+
+
+def test_conflicted_grids_match_the_reference():
+    for text in conflicted_grids():
+        found = same_analysis(text)
+        assert found and {d.code for d in found} == {"conflicting-clause"}
 
 
 # --- validate -----------------------------------------------------------------
@@ -404,6 +427,15 @@ def test_ten_thousand_clauses_and_conflicts_load_in_linear_time():
     with budget(2.0):
         spec = parse(text)
     assert (len(spec.clauses), len(spec.conflicts)) == (2 * n, 2 * n)
+
+
+def test_a_printed_twenty_by_twenty_corner_grid_loads_in_linear_time():
+    # 20,008 lines: 9,804 clauses and 9,804 payoff pairs.
+    spec = shy_dancers(20, CORNER)
+    text = print_spec(spec)
+    with budget(1.0):
+        loaded = parse(text)
+    assert loaded == spec
 
 
 def test_a_long_invalid_play_is_rejected_in_near_linear_time():
