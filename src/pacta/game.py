@@ -589,24 +589,6 @@ def _checked_events(spec: ContractSpec, play: Sequence[str]) -> frozenset[str]:
     return done
 
 
-def _reject_offers(
-    p: str,
-    offers: frozenset[str],
-    mine: frozenset[str],
-    played: set[str],
-    snapshot: tuple[str, ...],
-) -> None:
-    """Raise for the first offer, in name order, that *p* may not make."""
-    for e in sorted(offers):
-        if e not in mine:
-            raise InvalidPlayError(f"strategy for {p!r} offered {e!r}, which it does not own")
-        if e in played:
-            raise InvalidPlayError(
-                f"strategy for {p!r} offered unplayable {e!r} after "
-                f"<{','.join(snapshot) or 'empty'}>"
-            )
-
-
 def simulate(
     spec: ContractSpec,
     strategies: Sequence[Strategy],
@@ -648,7 +630,16 @@ def simulate(
         for p, strat, mine in in_order:
             offers = strat.offers(snapshot)
             if not (offers <= mine and played.isdisjoint(offers)):
-                _reject_offers(p, offers, mine, played, snapshot)
+                for e in sorted(offers):  # name the first bad offer
+                    if e not in mine:
+                        raise InvalidPlayError(
+                            f"strategy for {p!r} offered {e!r}, which it does not own"
+                        )
+                    if e in played:
+                        raise InvalidPlayError(
+                            f"strategy for {p!r} offered unplayable {e!r} after "
+                            f"<{','.join(snapshot) or 'empty'}>"
+                        )
             offered |= offers
         streak_start = {e: t for e, t in streak_start.items() if e in offered}
         for e in offered.difference(streak_start):

@@ -161,8 +161,8 @@ class OfferRequestPayoff:
     def __post_init__(self) -> None:
         # Normalise: pair order and duplicates carry no meaning.  Duplicates
         # are dropped in input order, so pairs that come sorted (a printed
-        # file, or another payoff's pairs) sort in one linear pass.
-        # Each distinct set is sorted once for the key.
+        # file, or another payoff's pairs) sort in one linear pass.  A set
+        # in many pairs (a request equal to its offer, say) is sorted once.
         pairs = dict.fromkeys((frozenset(o), frozenset(r)) for o, r in self.pairs)
         key = {s: sorted(s) for s in set(chain.from_iterable(pairs))}
         canon = sorted(pairs, key=lambda pr: (key[pr[0]], key[pr[1]]))
