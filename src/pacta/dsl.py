@@ -71,6 +71,14 @@ _PAYOFF_RE = re.compile(
 _PAIR_RE = re.compile(r"offers\s*\{([^{}]*)\}\s*requests\s*\{([^{}]*)\}", re.A)
 
 
+def _body_names(body_text: str) -> list[str]:
+    """The names of a clause body's text, in file order."""
+    body_text = body_text.strip()
+    if not body_text or body_text == "true":
+        return []
+    return list(map(str.strip, body_text.split(",")))
+
+
 def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
     """Parse *text*, returning the spec or every problem found (never both).
 
@@ -111,31 +119,28 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
     # payoff pair that holds it.  Accepted clause body texts and payoff form
     # texts map to what they read as, so a repeated text is read once.
     sets: dict[frozenset[str], frozenset[str]] = {}
-    bodies: dict[str, tuple[list[str], frozenset[str]]] = {}
+    bodies: dict[str, frozenset[str]] = {}
     forms: dict[str, tuple[frozenset[str] | None, list]] = {}
 
     def event_set(names: list[str]) -> frozenset[str]:
         found = frozenset(names)
         return sets.setdefault(found, found)
 
-    def read_body(body_text: str, lineno: int) -> tuple[list[str], frozenset[str]] | None:
-        """The body of a clause, in file order and as a set, or None."""
-        body: list[str] = []
-        stripped = body_text.strip()
-        if stripped and stripped != "true":
-            body = list(map(str.strip, stripped.split(",")))
-            if not named.issuperset(body):
-                ok = True
-                for item in body:
-                    if not item:
-                        report("bad-clause", "empty entry in clause body", lineno)
-                        ok = False
-                    elif not good_name(item, lineno):
-                        ok = False
-                if not ok:
-                    return None
-        bodies[body_text] = read = (body, event_set(body))
-        return read
+    def read_body(body_text: str, lineno: int) -> frozenset[str] | None:
+        """The body of a clause as a set, or None."""
+        body = _body_names(body_text)
+        if not named.issuperset(body):
+            ok = True
+            for item in body:
+                if not item:
+                    report("bad-clause", "empty entry in clause body", lineno)
+                    ok = False
+                elif not good_name(item, lineno):
+                    ok = False
+            if not ok:
+                return None
+        bodies[body_text] = found = event_set(body)
+        return found
 
     def read_form(spec_text: str, lineno: int) -> tuple[frozenset[str] | None, list] | None:
         """(goal, []) or (None, pairs) for the form of a payoff, or None."""
@@ -173,8 +178,8 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
     participants: set[str] = set()
     explicit_owner: dict[str, str] = {}
     clauses: set[Clause] = set()
-    # (clause, body in file order, line, repeats an earlier clause)
-    clause_lines: list[tuple[Clause, list[str], int, bool]] = []
+    # (clause, body text, line, repeats an earlier clause)
+    clause_lines: list[tuple[Clause, str, int, bool]] = []
     # (head, line, agent block active at that line) of heads not yet owned
     unowned_heads: list[tuple[str, int, str | None]] = []
     conflict_lines: list[tuple[str, str, int]] = []
@@ -210,13 +215,15 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
                 continue
             if head_text not in named and not good_name(head_text, lineno, line):
                 continue
-            read = bodies.get(body_text) or read_body(body_text, lineno)
-            if read is None:
-                continue
-            clause = Clause(head_text, read[1], kind)
+            body = bodies.get(body_text)
+            if body is None:
+                body = read_body(body_text, lineno)
+                if body is None:
+                    continue
+            clause = Clause(head_text, body, kind)
             size = len(clauses)
             clauses.add(clause)
-            clause_lines.append((clause, read[0], lineno, len(clauses) == size))
+            clause_lines.append((clause, body_text, lineno, len(clauses) == size))
             if head_text not in explicit_owner:
                 unowned_heads.append((head_text, lineno, active_agent))
 
@@ -304,9 +311,9 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
                     lineno,
                 )
 
-    for clause, body, lineno, repeated in clause_lines:
+    for clause, body_text, lineno, repeated in clause_lines:
         if not clause.body <= events:
-            undeclared(body, lineno, f"clause for {clause.head!r}")
+            undeclared(_body_names(body_text), lineno, f"clause for {clause.head!r}")
         if repeated:
             report("duplicate-clause", f"clause for {clause.head!r} repeated", lineno)
 
