@@ -287,6 +287,23 @@ def test_payoff_lines_with_several_pairs_match_the_reference():
     assert several > 100
 
 
+def test_clause_and_payoff_lines_read_again_match_the_reference():
+    # analyze reads each accepted body or payoff form text once per call; a
+    # text that failed is reported again at every line that holds it.
+    rng = random.Random(1618)
+    for k in range(2_000):
+        if k % 2:
+            text = multi_pair_file(rng)
+        else:
+            base = FIXTURES[k % len(FIXTURES)] if k % 3 == 0 else print_spec(
+                random_spec(rng, allow_conflicts=True)
+            )
+            text = mutate(rng, base)
+        lines = text.splitlines()
+        again = [line for line in lines if line.lstrip().startswith(("clause", "payoff"))]
+        same_analysis("\n".join(lines + again) + "\n")
+
+
 # --- files at size ------------------------------------------------------------
 #
 # The loader's gains are on files of thousands of lines, where names repeat
