@@ -70,12 +70,9 @@ def shy_dancers(n: int, circular: Iterable[Cell] | None = None) -> ContractSpec:
     for cell in cells:
         kind = CIRCULAR if cell in circular_cells else STANDARD
         neighbour_events = sorted(_event(nb) for nb in _neighbours(cell, n))
-        for pair in combinations(neighbour_events, 2):
-            clauses.append(Clause(_event(cell), frozenset(pair), kind))
-        payoffs[_guest(cell)] = OfferRequestPayoff(
-            tuple(
-                (frozenset(pair), frozenset(pair))
-                for pair in combinations(neighbour_events, 2)
-            )
-        )
+        # One frozenset per pair, shared by the clause and the payoff pair.
+        pairs = [frozenset(pair) for pair in combinations(neighbour_events, 2)]
+        event = _event(cell)
+        clauses.extend(Clause(event, pair, kind) for pair in pairs)
+        payoffs[_guest(cell)] = OfferRequestPayoff(tuple((pair, pair) for pair in pairs))
     return ContractSpec.of(owner=owner, clauses=clauses, payoffs=payoffs)
