@@ -17,7 +17,9 @@ before any search on inputs past their size guards: 12 atoms for the
 natural-deduction search (:func:`nd_provable`, :func:`nd_derivation`),
 8 atoms for :func:`traces_bruteforce`, 6 events for :func:`prudence_table`
 and :func:`prudence_bruteforce`.  They exist to be obviously correct, not
-fast.
+fast.  :func:`prudence_table` alone shares work between the plays of its
+tree, in three ways its docstring argues leave the table unchanged; the
+tests also hold it to the plainer version it replaced, play by play.
 """
 
 from __future__ import annotations
@@ -212,6 +214,19 @@ def _bodies_by_head(spec: ContractSpec) -> tuple[Bodies, Bodies]:
     return by_kind[STANDARD], by_kind[CIRCULAR]
 
 
+@dataclass
+class _EventSet:
+    """What :func:`prudence_table` needs to know about one set of done
+    events, whatever order they were done in: the events fireable next, the
+    atoms a circular body inside the set justifies (as a mask), and one step
+    per fireable event ``e`` — ``(e, owner of e, the grown set's record, the
+    mask of e, or 0 when a standard body inside this set justifies e)``."""
+
+    fireable: frozenset[str]
+    circ_justified: int
+    steps: list[tuple[str, str, "_EventSet", int]]
+
+
 def _final_credits(
     spec: ContractSpec,
     seq: tuple[str, ...],
@@ -239,82 +254,148 @@ def prudence_table(
 ) -> dict[tuple[str, ...], frozenset[str]]:
     """Prudent events after every play of the spec, by game-tree analysis.
 
-    Starts from "everything fireable is prudent" and prunes until stable.
-    Pruning is monotone — declaring fewer events prudent makes more stopped
-    plays count as innocent, which can only prune further — so the loop lands
-    on the greatest fixpoint.  Conflicts are fully supported.  Guarded at 6
-    events.
+    The table maps every play (a repetition-free sequence of events whose
+    prefixes are all conflict-free) to the events prudent right after it.
+    An event ``e`` fireable after play ``p``, owned by ``A``, is prudent when
+    ``A`` can count on getting back to its ledger at ``p``: in the tree below
+    ``p + (e,)``, until a play is reached whose final ledger holds no event
+    of ``A`` beyond the ledger of ``p``, every move of another participant
+    keeps this so, and wherever the others are done (every event still
+    prudent there is ``A``'s, so the play may fairly stop) ``A`` has a move
+    of its own that keeps it so.  "Prudent there" reads the table itself:
+    the result is the greatest table for which the definition holds.
+    Conflicts are fully supported.  Guarded at 6 events.
+
+    Work is shared three ways, and none changes what is computed:
+
+    * What depends only on a play's event set is computed once per set (at
+      most 64 sets against up to 1,957 plays): the fireable next events, and
+      the atoms a standard body or a circular body inside the set justifies
+      (see :class:`_EventSet`).
+    * A play's final ledger, what :func:`_final_credits` returns for it,
+      grows from its parent's: the new event joins it unless a standard body
+      done before it justifies it, then whatever a circular body inside the
+      grown set justifies leaves it.  Nothing else moves: an earlier event's
+      past is fixed, and circular justification only grows with the set.
+    * Judging starts from "every fireable event is prudent" and prunes in
+      passes until a pass drops nothing.  Pruning is monotone (fewer prudent
+      events make more stops fair, which can only prune further), so the
+      passes land on the greatest table whichever entries each one judges,
+      as long as no entry left at the end fails.  An entry ``(p, e)`` reads
+      the table only through "the others are done at ``q``" for
+      ``owner[e]``, where ``q`` is ``p + (e,)`` or extends it, and as the
+      table shrinks that test can only flip from false to true.  So a pass
+      judges again only the entries on the path to a play whose entry has
+      just flipped the test for their owner; every other entry would read
+      what it read before.  With one owner the test never flips, and one
+      pass settles the table.
     """
     if len(spec.events) > 6:
         raise PreconditionError("prudence_table supports at most 6 events")
     events = sorted(spec.events)
+    owner = spec.owner
+    std_rules = [(c.body, c.head) for c in spec.clauses if c.kind == STANDARD]
+    circ_rules = [(c.body, c.head) for c in spec.clauses if c.kind == CIRCULAR]
 
-    plays: list[tuple[str, ...]] = []
+    # Ledgers are bit masks over the sorted events: each play builds one.
+    bit = {e: 1 << i for i, e in enumerate(events)}
 
-    def grow(prefix: tuple[str, ...], used: frozenset[str]) -> None:
-        plays.append(prefix)
-        for e in events:
-            if e not in used and spec.compatible(used | {e}):
-                grow(prefix + (e,), used | {e})
+    def mask(atoms) -> int:
+        return sum(bit[a] for a in set(atoms))
 
-    grow((), frozenset())
+    by_set: dict[frozenset[str], _EventSet] = {}
 
-    bodies = _bodies_by_head(spec)
-    gamma = {p: _final_credits(spec, p, bodies) for p in plays}
-    fireable = {
-        p: tuple(
-            e
-            for e in events
-            if e not in p and spec.compatible(frozenset(p) | {e})
-        )
-        for p in plays
-    }
-    owned = {a: spec.owned_by(a) for a in spec.participants}
-
-    table: dict[tuple[str, ...], frozenset[str]] = {
-        p: frozenset(fireable[p]) for p in plays
-    }
-
-    def prudent_here(
-        base: tuple[str, ...],
-        event: str,
-        cur: dict[tuple[str, ...], frozenset[str]],
-    ) -> bool:
-        actor = spec.owner[event]
-        mine = owned[actor]
-        budget = gamma[base]
-
-        def recovered(play: tuple[str, ...]) -> bool:
-            return gamma[play] & mine <= budget
-
-        def others_done(play: tuple[str, ...]) -> bool:
-            return not any(spec.owner[x] != actor for x in cur[play])
-
-        def safe(play: tuple[str, ...], ok: bool) -> bool:
-            ok = ok or recovered(play)
-            for nxt in fireable[play]:
-                if spec.owner[nxt] != actor and not safe(play + (nxt,), ok):
-                    return False
-            if not ok and others_done(play):
-                # A fair stop here would leave the actor exposed: it must be
-                # able to keep the play alive safely on its own.
-                return any(
-                    safe(play + (nxt,), ok)
-                    for nxt in fireable[play]
-                    if spec.owner[nxt] == actor
+    def event_set(done: frozenset[str]) -> _EventSet:
+        known = by_set.get(done)
+        if known is None:
+            fireable = [
+                e for e in events if e not in done and spec.compatible(done | {e})
+            ]
+            known = by_set[done] = _EventSet(
+                frozenset(fireable),
+                mask(h for b, h in circ_rules if b <= done),
+                [],
+            )
+            std_justified = {h for b, h in std_rules if b <= done}
+            known.steps.extend(
+                (
+                    e,
+                    owner[e],
+                    event_set(done | {e}),
+                    0 if e in std_justified else bit[e],
                 )
+                for e in fireable
+            )
+        return known
+
+    # The game tree in preorder; node 0 is the empty play.  A node other
+    # than the root also names the entry (parent's play, its last event).
+    plays: list[tuple[str, ...]] = [()]
+    parent = [0]
+    mover = [""]  # owner of the node's last event
+    gamma = [0]  # the play's final ledger, as a mask
+    table: list[frozenset[str]] = []  # prudent events, first all fireable
+    kids: list[dict[str, list[int]]] = [{}]  # children, by their mover
+
+    def grow(node: int, here: _EventSet) -> None:
+        table.append(here.fireable)
+        for e, actor, there, joins in here.steps:
+            child = len(plays)
+            plays.append(plays[node] + (e,))
+            parent.append(node)
+            mover.append(actor)
+            gamma.append((gamma[node] | joins) & ~there.circ_justified)
+            kids[node].setdefault(actor, []).append(child)
+            kids.append({})
+            grow(child, there)
+
+    grow(0, event_set(frozenset()))
+
+    owned = {a: spec.owned_by(a) for a in spec.participants}
+    owned_mask = {a: mask(owned[a]) for a in spec.participants}
+    actors = {owner[e] for e in events}
+
+    def prudent(entry: int) -> bool:
+        actor = mover[entry]
+        mine = owned[actor]
+        # A play recovers when its ledger holds none of these.
+        exposed = owned_mask[actor] & ~gamma[parent[entry]]
+
+        def safe(node: int) -> bool:
+            # Reached only while no play from the entry down to the parent
+            # has recovered; once one has, every continuation is safe.
+            if not gamma[node] & exposed:
+                return True
+            moves = kids[node]
+            for other, theirs in moves.items():
+                if other != actor and not all(map(safe, theirs)):
+                    return False
+            if table[node] <= mine:
+                # The others are done, and a fair stop here would leave the
+                # actor exposed: it must keep the play alive safely alone.
+                return any(map(safe, moves.get(actor, ())))
             return True
 
-        return safe(base + (event,), False)
+        return safe(entry)
 
-    while True:
-        new_table = {
-            p: frozenset(e for e in table[p] if prudent_here(p, e, table))
-            for p in plays
-        }
-        if new_table == table:
-            return new_table
-        table = new_table
+    judge = range(1, len(plays))
+    while judge:
+        dropped = [n for n in judge if not prudent(n)]
+        before = {parent[n]: table[parent[n]] for n in dropped}
+        for n in dropped:
+            table[parent[n]] -= {plays[n][-1]}
+        again: set[int] = set()
+        for q, old in before.items():
+            new = table[q]
+            flipped = {a for a in actors if new <= owned[a] and not old <= owned[a]}
+            node = q
+            while flipped and node:
+                if mover[node] in flipped and plays[node][-1] in table[parent[node]]:
+                    again.add(node)
+                node = parent[node]
+        judge = sorted(again)
+
+    return {plays[n]: table[n] for n in range(len(plays))}
 
 
 def prudence_bruteforce(

@@ -25,10 +25,12 @@ from pacta import (
     HornTheory,
     InvalidPlayError,
     OfferRequestPayoff,
+    PreconditionError,
     circ,
     std,
 )
 from pacta.model import NAME_RE, RESERVED_WORDS, is_reserved_name
+from pacta.oracle import _bodies_by_head, _final_credits
 
 DATA = Path(__file__).parent / "data"
 
@@ -242,6 +244,89 @@ def credit_closure_by_passes(rules, done):
         if kept == grant:
             return closed
         grant = kept
+
+
+# --- reference for the game-tree referee ------------------------------------
+
+
+def prudence_table_reference(
+    spec: ContractSpec,
+) -> dict[tuple[str, ...], frozenset[str]]:
+    """``oracle.prudence_table`` as it was before it computed each event
+    set's facts once, grew ledgers along the tree and re-judged only the
+    entries a pass can change: every play's ledger from ``_final_credits``
+    and every entry judged again on every pass.  The reference
+    ``prudence_table`` is checked against."""
+    if len(spec.events) > 6:
+        raise PreconditionError("prudence_table supports at most 6 events")
+    events = sorted(spec.events)
+
+    plays: list[tuple[str, ...]] = []
+
+    def grow(prefix: tuple[str, ...], used: frozenset[str]) -> None:
+        plays.append(prefix)
+        for e in events:
+            if e not in used and spec.compatible(used | {e}):
+                grow(prefix + (e,), used | {e})
+
+    grow((), frozenset())
+
+    bodies = _bodies_by_head(spec)
+    gamma = {p: _final_credits(spec, p, bodies) for p in plays}
+    fireable = {
+        p: tuple(
+            e
+            for e in events
+            if e not in p and spec.compatible(frozenset(p) | {e})
+        )
+        for p in plays
+    }
+    owned = {a: spec.owned_by(a) for a in spec.participants}
+
+    table: dict[tuple[str, ...], frozenset[str]] = {
+        p: frozenset(fireable[p]) for p in plays
+    }
+
+    def prudent_here(
+        base: tuple[str, ...],
+        event: str,
+        cur: dict[tuple[str, ...], frozenset[str]],
+    ) -> bool:
+        actor = spec.owner[event]
+        mine = owned[actor]
+        budget = gamma[base]
+
+        def recovered(play: tuple[str, ...]) -> bool:
+            return gamma[play] & mine <= budget
+
+        def others_done(play: tuple[str, ...]) -> bool:
+            return not any(spec.owner[x] != actor for x in cur[play])
+
+        def safe(play: tuple[str, ...], ok: bool) -> bool:
+            ok = ok or recovered(play)
+            for nxt in fireable[play]:
+                if spec.owner[nxt] != actor and not safe(play + (nxt,), ok):
+                    return False
+            if not ok and others_done(play):
+                # A fair stop here would leave the actor exposed: it must be
+                # able to keep the play alive safely on its own.
+                return any(
+                    safe(play + (nxt,), ok)
+                    for nxt in fireable[play]
+                    if spec.owner[nxt] == actor
+                )
+            return True
+
+        return safe(base + (event,), False)
+
+    while True:
+        new_table = {
+            p: frozenset(e for e in table[p] if prudent_here(p, e, table))
+            for p in plays
+        }
+        if new_table == table:
+            return new_table
+        table = new_table
 
 
 # --- references for the contract loader ------------------------------------

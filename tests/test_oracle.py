@@ -10,6 +10,7 @@ from pacta import (
     Derivation,
     HornTheory,
     PreconditionError,
+    analyze,
     check_derivation,
     circ,
     nd_derivation,
@@ -27,6 +28,8 @@ from pacta import (
 from pacta.model import InvalidPlayError
 
 from helpers import (
+    DATA,
+    budget,
     c1,
     c2,
     c3,
@@ -37,6 +40,8 @@ from helpers import (
     delta3,
     delta4,
     e5,
+    prudence_table_reference,
+    random_spec,
     random_theory,
     star_theory,
 )
@@ -238,6 +243,29 @@ class TestPrudenceTable:
         spec = spec_of(HornTheory(frozenset("abcdefg"), frozenset()))
         with pytest.raises(PreconditionError, match="6 events"):
             prudence_table(spec)
+        with pytest.raises(PreconditionError, match="6 events"):
+            prudence_table_reference(spec)
+
+    def test_matches_the_replaced_referee(self):
+        fixtures = [analyze(p.read_text(encoding="utf-8"))[0] for p in DATA.glob("*.ces")]
+        small = [s for s in fixtures if s is not None and len(s.events) <= 6]
+        rng = random.Random(1313)
+        multi = [random_spec(rng, max_events=6, allow_conflicts=True) for _ in range(100)]
+        single = [spec_of(random_theory(rng, 3, 6)) for _ in range(40)]
+        single += [spec_of(random_theory(rng, 6, 6)) for _ in range(10)]
+        bare = spec_of(HornTheory(frozenset("abcdef"), frozenset()))
+        # Conflicts, three owners and payoffs left out; some multi-party
+        # specs drop entries after the first pass, so a referee that skips
+        # an entry it must judge again fails here.
+        assert len(small) == 11
+        assert any(s.conflicts for s in multi)
+        assert any(len(s.participants) == 3 for s in multi)
+        assert any(set(s.payoffs) != s.participants for s in multi)
+        with budget(20):
+            for spec in small + multi + single + [bare]:
+                table = prudence_table(spec)
+                assert table == prudence_table_reference(spec), spec
+        assert len(table) == 1_957
 
 
 def test_nd_matches_the_fixpoint_on_random_theories():
