@@ -47,7 +47,7 @@ from .model import (
     SpecError,
     conflicting_clauses,
     is_reserved_name,
-    validate,  # noqa: F401 -- kept importable as pacta.dsl.validate
+    validate,  # noqa: F401 -- unused here; perfbench/tracer.py patches dsl.validate
 )
 
 

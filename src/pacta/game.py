@@ -23,9 +23,9 @@ credit closure: ``prudent`` checks a whole play step by step, each step
 against its own clauses and ``provable``, and ``next_events`` follows a
 prudent play by deltas.  ``unjustified`` reads the credit ledger of a
 sequence; both serve the game queries here and proof traces in
-:mod:`pacta.logic`.  Each spec value builds
-its index once and every query on it shares that one (:func:`_rules`).  All
-operations in this module work on finite plays.
+:mod:`pacta.logic`.  Each spec or theory value builds its index once and
+every query on it shares that one (:func:`_rules`).  All operations in this
+module work on finite plays.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .model import (
     STANDARD,
@@ -48,15 +48,19 @@ from .model import (
     check_play,
 )
 
+if TYPE_CHECKING:
+    from .logic import HornTheory
+
 
 class RuleIndex:
     """Clause tables keyed by head, shared by the game and logic layers.
 
-    One pass over the clauses compiles both kinds: the standard clauses into
-    the counter tables that ``_propagate`` runs on, so each fixpoint call
-    only copies a list of counts, and the circular bodies into a list.  The
-    table of circular bodies by atom, which ``_withdraw`` counts missing
-    atoms on, is built by the first withdrawal and kept in its slot.
+    One pass over the clauses files both kinds of body by head and compiles
+    the standard clauses into the counter tables that ``_propagate`` runs
+    on, so each fixpoint call only copies a list of counts.  The circular
+    tables that ``_withdraw`` counts missing atoms on (the bodies, their
+    heads and the bodies by atom) are built together by the first
+    withdrawal and kept in one slot.
     """
 
     __slots__ = (
@@ -67,9 +71,7 @@ class RuleIndex:
         "_need",
         "_std_heads",
         "_facts",
-        "_circ_heads",
-        "_circ_by_atom",
-        "_circ_list",
+        "_circ_tables",
         "_last_next",
         "_provable",
     )
@@ -79,13 +81,10 @@ class RuleIndex:
         self.circ_bodies: dict[str, list[frozenset[str]]] = {}
         self._std_heads: list[str] = []
         self._by_atom: dict[str, list[int]] = {}
-        self._circ_heads: list[str] = []
-        self._circ_by_atom: dict[str, list[int]] | None = None
-        self._circ_list: list[frozenset[str]] = []
         need: list[int] = []
         facts: set[str] = set()
         std_bodies, std_heads, by_atom = self.std_bodies, self._std_heads, self._by_atom
-        circ_bodies, circ_heads, circ_list = self.circ_bodies, self._circ_heads, self._circ_list
+        circ_bodies = self.circ_bodies
         for c in clauses:
             head, body = c.head, c.body
             if c.kind == STANDARD:
@@ -98,16 +97,18 @@ class RuleIndex:
                     facts.add(head)
             else:
                 circ_bodies.setdefault(head, []).append(body)
-                circ_list.append(body)
-                circ_heads.append(head)
         self._heads = frozenset(self.std_bodies) | frozenset(self.circ_bodies)
         self._need = need
         self._facts = frozenset(facts)
+        self._circ_tables: tuple[list, list[str], dict[str, list[int]]] | None = None
         self._last_next: tuple[frozenset[str], frozenset[str]] | None = None
         self._provable: frozenset[str] | None = None
 
     def closure(self, seed: Iterable[str]) -> set[str]:
-        """Least set containing *seed* and closed under standard clauses."""
+        """Least set containing *seed* and closed under standard clauses.
+
+        No ``src/`` code calls it; ``perfbench/tracer.py`` patches it by
+        name (ROADMAP item 2)."""
         return self._close(seed)[0]
 
     def _close(self, seed: Iterable[str]) -> tuple[set[str], list[int]]:
@@ -176,15 +177,18 @@ class RuleIndex:
         by_atom = self._by_atom
         heads = self._std_heads
         std = self.std_bodies
-        circ_heads = self._circ_heads
-        circ_by_atom = self._circ_by_atom
-        if circ_by_atom is None:
-            circ_by_atom = self._circ_by_atom = {}
-            for k, body in enumerate(self._circ_list):
-                for a in body:
-                    circ_by_atom.setdefault(a, []).append(k)
+        if self._circ_tables is None:
+            circ_list, circ_heads, circ_by_atom = [], [], {}
+            for head, bodies in self.circ_bodies.items():
+                for body in bodies:
+                    for a in body:
+                        circ_by_atom.setdefault(a, []).append(len(circ_list))
+                    circ_list.append(body)
+                    circ_heads.append(head)
+            self._circ_tables = (circ_list, circ_heads, circ_by_atom)
+        circ_list, circ_heads, circ_by_atom = self._circ_tables
         keep = base | self._facts
-        missing = [len(b - closed) for b in self._circ_list]
+        missing = [len(b - closed) for b in circ_list]
         full = dict.fromkeys(self.circ_bodies, 0)  # bodies with none missing
         for k, m in enumerate(missing):
             if not m:
@@ -355,21 +359,21 @@ class RuleIndex:
         return spans
 
 
-def _rules(spec: ContractSpec) -> RuleIndex:
-    """The spec's one ``RuleIndex``, built on first use and kept in the
-    spec's instance ``__dict__``, so that all queries on one spec value, and
-    all strategies synthesized for it, share its tables and its
-    ``next_events`` memo.
+def _rules(value: ContractSpec | HornTheory) -> RuleIndex:
+    """The one ``RuleIndex`` of a spec or theory value, built on first use
+    and kept in the value's instance ``__dict__``, so that all queries on
+    one value, and all strategies synthesized for a spec, share its tables
+    and its ``next_events`` memo.
 
-    The index reads only ``clauses``, which ``ContractSpec`` stores as a
-    frozenset, so it can never go stale, and it lives and dies with the
+    The index reads only ``clauses``, which both frozen dataclasses store as
+    a frozenset, so it can never go stale, and it lives and dies with the
     value: a new value, ``dataclasses.replace`` included, builds its own.
     Keeping it on the value, not in a table keyed by it, spares every lookup
     a comparison of whole clause sets.
     """
-    index = spec.__dict__.get("_rule_index")
+    index = value.__dict__.get("_rule_index")
     if index is None:
-        index = spec.__dict__["_rule_index"] = RuleIndex(spec.clauses)
+        index = value.__dict__["_rule_index"] = RuleIndex(value.clauses)
     return index
 
 

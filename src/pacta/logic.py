@@ -17,7 +17,8 @@ trace exactly when it is a prudent play of the theory (each atom is in
 ``RuleIndex.next_events`` of the atoms before it) whose final credit ledger
 (``RuleIndex.unjustified``) is empty.  The interleaving definition survives
 as :func:`pacta.oracle.traces_bruteforce`, which the tests hold the fast
-path to.
+path to.  Every query on one theory value shares that value's one index
+(``game._rules``), as the game queries on one spec value do.
 
 The urgency encoding compiles the question "which atom may be performed
 next?" into plain provability over a tagged alphabet: ``!a`` ("a was already
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .game import RuleIndex
+from .game import _rules
 from .model import (
     CIRCULAR,
     STANDARD,
@@ -93,22 +94,11 @@ def spec_of(theory: HornTheory, participant: str = "T") -> ContractSpec:
 
 def provable_atoms(theory: HornTheory) -> frozenset[str]:
     """All atoms provable from the theory (circular clauses discharge their head)."""
-    return RuleIndex(theory.clauses).provable()
+    return _rules(theory).provable()
 
 
 # ---------------------------------------------------------------------------
 # proof traces
-
-
-def _squeeze(seq: Iterable[str]) -> Trace:
-    """Drop repeated elements, keeping the leftmost occurrence of each."""
-    seen: set[str] = set()
-    out: list[str] = []
-    for x in seq:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return tuple(out)
 
 
 def interleave(left: Sequence[str], right: Sequence[str]) -> frozenset[Trace]:
@@ -118,14 +108,14 @@ def interleave(left: Sequence[str], right: Sequence[str]) -> frozenset[Trace]:
     leftward in the result (the leftmost copy survives).  Strings work too,
     treated as sequences of single-character events.
     """
-    a = _squeeze(left)
-    b = _squeeze(right)
+    a = tuple(dict.fromkeys(left))
+    b = tuple(dict.fromkeys(right))
     out: set[Trace] = set()
     stack: list[tuple[int, int, Trace]] = [(0, 0, ())]
     while stack:
         i, j, acc = stack.pop()
         if i == len(a) or j == len(b):
-            out.add(_squeeze(acc + a[i:] + b[j:]))
+            out.add(tuple(dict.fromkeys(acc + a[i:] + b[j:])))
             continue
         stack.append((i + 1, j, acc + (a[i],)))
         stack.append((i, j + 1, acc + (b[j],)))
@@ -142,7 +132,7 @@ def iter_proof_traces(theory: HornTheory) -> Iterator[Trace]:
     ``provable()``, which is computed up front: ``next_events`` then reads
     the clauses against it and no play pays for a credit closure.
     """
-    rules = RuleIndex(theory.clauses)
+    rules = _rules(theory)
     rules.provable()
     level: list[Trace] = [()]
     while level:
@@ -177,7 +167,7 @@ def is_proof_trace(theory: HornTheory, trace: Sequence[str]) -> bool:
     unknown = frozenset(seq) - theory.atoms
     if unknown:
         raise PreconditionError(f"unknown atoms: {', '.join(sorted(unknown))}")
-    rules = RuleIndex(theory.clauses)
+    rules = _rules(theory)
     return rules.prudent(seq) and not rules.unjustified(seq)
 
 
@@ -257,4 +247,4 @@ def urgent_atoms(theory: HornTheory, done: Iterable[str]) -> frozenset[str]:
     unknown = performed - theory.atoms
     if unknown:
         raise PreconditionError(f"unknown atoms: {', '.join(sorted(unknown))}")
-    return RuleIndex(theory.clauses).next_events(performed)
+    return _rules(theory).next_events(performed)

@@ -409,6 +409,8 @@ def check_play(spec: ContractSpec, play: Iterable[str]) -> tuple[str, ...]:
     whole = frozenset(seq)
     if len(whole) == len(seq) and whole <= spec.events and spec.compatible(whole):
         return seq
+    if not seq:  # only an empty conflict pair, which every set contains, rejects it
+        raise InvalidPlayError("the empty play contains the empty conflict pair []")
     seen: set[str] = set()
     stop = len(seq)
     for i, e in enumerate(seq):

@@ -16,9 +16,12 @@ from pacta import (
     check_event_set,
     check_play,
     circ,
+    credit_free,
+    credits,
     ensure_valid,
     parse,
     print_spec,
+    prudence_bruteforce,
     std,
     validate,
 )
@@ -320,6 +323,20 @@ class TestPlays:
         with pytest.raises(InvalidPlayError) as err:
             check_play(spec, play)
         assert str(err.value) == message
+
+    def test_the_empty_play_of_a_spec_with_an_empty_conflict_pair_is_refused(self):
+        # Only a hand-built spec holds the empty pair; validate reports it.
+        spec = dataclasses.replace(c1(), conflicts=frozenset({frozenset()}))
+        assert "bad-conflict" in codes(validate(spec))
+        for call in (
+            lambda: check_play(spec, []),
+            lambda: credits(spec, []),
+            lambda: credit_free(spec, "A", []),
+            lambda: prudence_bruteforce(spec, ()),
+        ):
+            with pytest.raises(InvalidPlayError) as err:
+                call()
+            assert str(err.value) == "the empty play contains the empty conflict pair []"
 
     def test_check_event_set(self):
         assert check_event_set(e5(), ["a", "b"]) == frozenset({"a", "b"})

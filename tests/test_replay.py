@@ -1,7 +1,7 @@
 """Replaying plays in linear passes.
 
 ``credits`` builds its ledger in one sweep over per-step credit intervals,
-every query on one spec value shares that value's ``RuleIndex``,
+every query on one spec or theory value shares that value's ``RuleIndex``,
 and ``RuleIndex.next_events`` remembers its last answer, so the strategies
 ``simulate`` asks at one step share one computation.  Verdict rows map the
 culprits and debtors to their owners once instead of scanning every event and
@@ -12,6 +12,7 @@ behaviour.
 
 import dataclasses
 import random
+from itertools import combinations, islice
 
 from pacta import (
     CIRCULAR,
@@ -21,11 +22,17 @@ from pacta import (
     GoalPayoff,
     Strategy,
     credits,
+    is_proof_trace,
+    iter_proof_traces,
+    proof_traces,
+    provable_atoms,
     prudent_events,
     shy_dancers,
     simulate,
     std,
     synthesize_strategy,
+    traces_bruteforce,
+    urgent_atoms,
     verdict,
     wins,
 )
@@ -36,8 +43,11 @@ from helpers import (
     budget,
     c3,
     circular_chain,
+    delta3,
     random_spec,
+    random_theory,
     star_spec,
+    star_theory,
 )
 
 
@@ -177,6 +187,75 @@ def test_one_index_per_value_and_never_for_a_replaced_one():
     assert same == spec and hash(same.clauses) == hash(spec.clauses)
     assert _rules(same) is not _rules(spec)
     assert "_rule_index" not in repr(spec)
+
+    theory = delta3()
+    assert _rules(theory) is _rules(theory)
+    assert provable_atoms(theory) == {"a", "b"}
+    twin = dataclasses.replace(theory)
+    assert twin == theory and hash(twin) == hash(theory)
+    assert _rules(twin) is not _rules(theory)
+    assert "_rule_index" not in repr(theory)
+
+
+def count_builds(monkeypatch):
+    built = []
+    real = RuleIndex.__init__
+
+    def counted(self, clauses):
+        built.append(self)
+        real(self, clauses)
+
+    monkeypatch.setattr(RuleIndex, "__init__", counted)
+    return built
+
+
+def test_the_logic_queries_on_one_theory_build_one_index(monkeypatch):
+    built = count_builds(monkeypatch)
+    theory = star_theory()
+    provable = provable_atoms(theory)
+    atoms = sorted(theory.atoms)
+    for k in range(len(atoms) + 1):
+        for past in combinations(atoms, k):
+            assert urgent_atoms(theory, past) <= provable - set(past)
+    traces = proof_traces(theory, 50)
+    assert len(traces) == 50
+    assert all(is_proof_trace(theory, trace) for trace in traces)
+    assert built == [_rules(theory)]
+    provable_atoms(star_theory())
+    assert len(built) == 2
+
+
+def test_queries_during_a_suspended_trace_walk_share_its_index():
+    """Between two traces of a walk, the other logic queries on the same
+    theory move the index's ``next_events`` memo; the walk, resumed, still
+    yields the oracle's traces, and every answer equals a fresh index's."""
+    rng = random.Random(20261019)
+    suspended = 0
+    for _ in range(300):
+        theory = random_theory(rng, min_atoms=1, max_atoms=5)
+        fresh = RuleIndex(theory.clauses)
+        traces = traces_bruteforce(theory)
+        prefixes = {t[:i] for t in traces for i in range(len(t) + 1)}
+        walk = iter_proof_traces(theory)
+        walked = list(islice(walk, rng.randint(1, len(traces))))
+        suspended += len(walked) < len(traces)
+        for past in rng.sample(sorted(prefixes), min(4, len(prefixes))):
+            # Every prudent play extends to a trace, so the urgent atoms
+            # after a trace prefix are the atoms that extend it to another.
+            want = {a for a in theory.atoms if past + (a,) in prefixes}
+            assert urgent_atoms(theory, past) == fresh.next_events(frozenset(past)) == want
+        atoms = sorted(theory.atoms)
+        for _ in range(4):
+            if rng.random() < 0.5:
+                seq = rng.choice(sorted(traces))
+            else:
+                seq = tuple(rng.sample(atoms, rng.randint(0, len(atoms))))
+            want = fresh.prudent(seq) and not fresh.unjustified(seq)
+            assert is_proof_trace(theory, seq) == want == (seq in traces), (theory, seq)
+        assert provable_atoms(theory) == fresh.provable() == frozenset().union(*traces)
+        walked += walk
+        assert walked == sorted(traces, key=lambda t: (len(t), t)), theory
+    assert suspended > 100
 
 
 def test_credits_on_a_long_circular_chain_is_about_linear():
