@@ -220,7 +220,9 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
                 body = read_body(body_text, lineno)
                 if body is None:
                     continue
-            clause = Clause(head_text, body, kind)
+            # body is a frozenset and kind one of the two: the checks of
+            # Clause.__new__ would hold, so the tuple is built directly.
+            clause = tuple.__new__(Clause, (head_text, body, kind))
             size = len(clauses)
             clauses.add(clause)
             clause_lines.append((clause, body_text, lineno, len(clauses) == size))
@@ -311,11 +313,11 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
                     lineno,
                 )
 
-    for clause, body_text, lineno, repeated in clause_lines:
-        if not clause.body <= events:
-            undeclared(_body_names(body_text), lineno, f"clause for {clause.head!r}")
+    for (head, body, _), body_text, lineno, repeated in clause_lines:
+        if not body <= events:
+            undeclared(_body_names(body_text), lineno, f"clause for {head!r}")
         if repeated:
-            report("duplicate-clause", f"clause for {clause.head!r} repeated", lineno)
+            report("duplicate-clause", f"clause for {head!r} repeated", lineno)
 
     for e1, e2, lineno in conflict_lines:
         undeclared((e1, e2), lineno, "conflict")
@@ -403,7 +405,7 @@ def print_spec(spec: ContractSpec) -> str:
     # The first three fields differ between distinct clauses, so the kind
     # itself is never compared; each body is sorted once.
     for head, _, body, kind in sorted(
-        (c.head, _KIND_ORDER[c.kind], sorted(c.body), c.kind) for c in spec.clauses
+        (head, _KIND_ORDER[kind], sorted(body), kind) for head, body, kind in spec.clauses
     ):
         arrow = "<-" if kind == STANDARD else "<<-"
         if body:

@@ -85,9 +85,8 @@ class RuleIndex:
         facts: set[str] = set()
         std_bodies, std_heads, by_atom = self.std_bodies, self._std_heads, self._by_atom
         circ_bodies = self.circ_bodies
-        for c in clauses:
-            head, body = c.head, c.body
-            if c.kind == STANDARD:
+        for head, body, kind in clauses:
+            if kind == STANDARD:
                 std_bodies.setdefault(head, []).append(body)
                 for a in body:
                     by_atom.setdefault(a, []).append(len(need))

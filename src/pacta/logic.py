@@ -70,9 +70,9 @@ class HornTheory:
         """
         cs = frozenset(clauses)
         alphabet = set(atoms)
-        for c in cs:
-            alphabet.add(c.head)
-            alphabet |= c.body
+        for head, body, _ in cs:
+            alphabet.add(head)
+            alphabet |= body
         return cls(alphabet, cs)
 
 
@@ -206,25 +206,15 @@ def encode_urgency(theory: HornTheory) -> HornTheory:
             f"atoms collide with the tag namespace: {', '.join(offenders)}"
         )
     clauses: set[Clause] = set()
-    for c in theory.clauses:
-        if c.kind == STANDARD:
+    for head, body, kind in theory.clauses:
+        if kind == STANDARD:
+            clauses.add(Clause(mark_urgent(head), frozenset(map(mark_done, body)), STANDARD))
             clauses.add(
-                Clause(mark_urgent(c.head), frozenset(map(mark_done, c.body)), STANDARD)
-            )
-            clauses.add(
-                Clause(
-                    mark_reachable(c.head),
-                    frozenset(map(mark_reachable, c.body)),
-                    STANDARD,
-                )
+                Clause(mark_reachable(head), frozenset(map(mark_reachable, body)), STANDARD)
             )
         else:
             clauses.add(
-                Clause(
-                    mark_urgent(c.head),
-                    frozenset(map(mark_reachable, c.body)),
-                    CIRCULAR,
-                )
+                Clause(mark_urgent(head), frozenset(map(mark_reachable, body)), CIRCULAR)
             )
     for a in theory.atoms:
         clauses.add(Clause(mark_urgent(a), frozenset({mark_done(a)}), STANDARD))

@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 STANDARD = "standard"
 CIRCULAR = "circular"
@@ -90,34 +90,37 @@ class Diagnostic:
         return f"{where}[{self.code}] {self.message}"
 
 
-@dataclass(frozen=True)
-class Clause:
+class _ClauseFields(NamedTuple):
+    head: str
+    body: frozenset[str]
+    kind: str
+
+
+class Clause(_ClauseFields):
     """An enabling clause ``head <- body`` of the given kind.
 
     ``body`` is a set of events; the empty body means the head is enabled
     unconditionally.  ``kind`` is :data:`STANDARD` or :data:`CIRCULAR`.
+
+    A clause is a named tuple ``(head, body, kind)``, so it is built,
+    hashed and compared in C: a loaded file builds one per line, and every
+    set of clauses hashes and compares them.  It equals the plain tuple of
+    its fields and hashes as ``hash((head, body, kind))``, which fixes the
+    iteration order of every set of clauses.  Reading a field by name costs
+    about twice as much as unpacking, so loops over many clauses unpack.
     """
 
-    head: str
-    body: frozenset[str]
-    kind: str = STANDARD
+    __slots__ = ()
 
-    def __init__(self, head: str, body: Iterable[str], kind: str = STANDARD):
-        # Written by hand so that a clause costs three attribute writes and no
-        # __post_init__ call: a loaded file builds one clause per line.  The
-        # writes go through object.__setattr__, not self.__dict__, which
-        # would turn the instance's inline values into a dict and make every
-        # later read and hash of the clause slower.
+    def __new__(cls, head: str, body: Iterable[str], kind: str = STANDARD) -> "Clause":
         if kind not in (STANDARD, CIRCULAR):
             raise ValueError(f"unknown clause kind: {kind!r}")
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "body", frozenset(body))
-        object.__setattr__(self, "kind", kind)
+        return tuple.__new__(cls, (head, frozenset(body), kind))
 
     def __repr__(self) -> str:  # keep test failure output readable
-        arrow = "<-" if self.kind == STANDARD else "<<-"
-        body = ", ".join(sorted(self.body)) or "true"
-        return f"Clause({self.head} {arrow} {body})"
+        head, body, kind = self
+        arrow = "<-" if kind == STANDARD else "<<-"
+        return f"Clause({head} {arrow} {', '.join(sorted(body)) or 'true'})"
 
 
 def std(head: str, *body: str) -> Clause:
@@ -352,11 +355,12 @@ def validate(spec: ContractSpec) -> list[Diagnostic]:
             bad((3, e), "unknown-participant", f"event {e!r} owned by undeclared participant {p!r}")
 
     for c in spec.clauses:
-        if c.head not in events:
-            bad(_clause_key(c), "unknown-event", f"clause head {c.head!r} is not a declared event")
-        if not c.body <= events:
-            for b in sorted(c.body - events):
-                message = f"clause for {c.head!r} uses undeclared event {b!r}"
+        head, body, _ = c
+        if head not in events:
+            bad(_clause_key(c), "unknown-event", f"clause head {head!r} is not a declared event")
+        if not body <= events:
+            for b in sorted(body - events):
+                message = f"clause for {head!r} uses undeclared event {b!r}"
                 bad(_clause_key(c), "unknown-event", message)
     for key, finding in conflicting_clauses(spec):
         found.setdefault(key, []).append(finding)
@@ -420,6 +424,8 @@ def check_play(spec: ContractSpec, play: Iterable[str]) -> tuple[str, ...]:
         seen.add(e)
     i = bisect_left(range(stop), True, key=lambda j: not spec.compatible(seq[: j + 1]))
     if i < stop:
+        if frozenset() in spec.conflicts:  # no event completes it: every prefix holds it
+            raise InvalidPlayError("the play contains the empty conflict pair []")
         raise InvalidPlayError(f"position {i}: event {seq[i]!r} conflicts with an earlier event")
     if seq[i] not in spec.events:
         raise InvalidPlayError(f"position {i}: {seq[i]!r} is not an event of the contract")

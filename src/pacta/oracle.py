@@ -35,7 +35,7 @@ from .model import (
     PreconditionError,
     check_play,
 )
-from .logic import HornTheory, Trace, interleave
+from .logic import HornTheory, Trace
 
 RULES = ("Id", "ArrowE", "CArrowE")
 
@@ -82,17 +82,18 @@ class _NdSearch:
         while changed:
             changed = False
             for c in self.clauses:
-                if c.head in derived:
+                head, body, kind = c
+                if head in derived:
                     continue
-                if c.kind == STANDARD:
-                    ok = c.body <= derived
+                if kind == STANDARD:
+                    ok = body <= derived
                 else:
-                    # c.head is not yet derived, hence not in the assumptions:
+                    # head is not yet derived, hence not in the assumptions:
                     # the recursion strictly enlarges the set and terminates.
-                    ok = c.body <= self.derivable(assumptions | {c.head})
+                    ok = body <= self.derivable(assumptions | {head})
                 if ok:
-                    derived.add(c.head)
-                    self.fired_by.setdefault((assumptions, c.head), c)
+                    derived.add(head)
+                    self.fired_by.setdefault((assumptions, head), c)
                     changed = True
         result = frozenset(derived)
         self.memo[assumptions] = result
@@ -160,13 +161,20 @@ def check_derivation(theory: HornTheory, deriv: Derivation) -> bool:
     return False
 
 
+def _insertions(tau: Trace, atom: str) -> set[Trace]:
+    """The interleavings of trace *tau* with the one-atom trace *atom*,
+    ``interleave(tau, (atom,))``: *atom* put at each of the ``len(tau) + 1``
+    places, duplicates squeezed (the leftmost copy stays)."""
+    return {tuple(dict.fromkeys(tau[:k] + (atom,) + tau[k:])) for k in range(len(tau) + 1)}
+
+
 def traces_bruteforce(theory: HornTheory) -> frozenset[Trace]:
     """Trace semantics by plain saturation, each fact-extended subtheory
     saturated once per call.  Guarded at 8 atoms."""
     if len(theory.atoms) > 8:
         raise PreconditionError("traces_bruteforce supports at most 8 atoms")
-    std_flat = [(c.body, c.head) for c in theory.clauses if c.kind == STANDARD]
-    circ_flat = [(c.body, c.head) for c in theory.clauses if c.kind == CIRCULAR]
+    std_flat = [(body, head) for head, body, kind in theory.clauses if kind == STANDARD]
+    circ_flat = [(body, head) for head, body, kind in theory.clauses if kind == CIRCULAR]
 
     @lru_cache(maxsize=None)
     def saturate(facts: frozenset[str]) -> set[Trace]:
@@ -189,7 +197,7 @@ def traces_bruteforce(theory: HornTheory) -> frozenset[Trace]:
                 sub = traces if head in facts else saturate(facts | {head})
                 for tau in list(sub):
                     if body <= set(tau):
-                        for merged in interleave(tau, (head,)):
+                        for merged in _insertions(tau, head):
                             if merged not in traces:
                                 traces.add(merged)
                                 changed = True
@@ -209,8 +217,8 @@ def _bodies_by_head(spec: ContractSpec) -> tuple[Bodies, Bodies]:
     """The bodies of the standard and of the circular clauses, each listed
     under their heads."""
     by_kind: dict[str, Bodies] = {STANDARD: {}, CIRCULAR: {}}
-    for c in spec.clauses:
-        by_kind[c.kind].setdefault(c.head, []).append(c.body)
+    for head, body, kind in spec.clauses:
+        by_kind[kind].setdefault(head, []).append(body)
     return by_kind[STANDARD], by_kind[CIRCULAR]
 
 
@@ -294,8 +302,8 @@ def prudence_table(
         raise PreconditionError("prudence_table supports at most 6 events")
     events = sorted(spec.events)
     owner = spec.owner
-    std_rules = [(c.body, c.head) for c in spec.clauses if c.kind == STANDARD]
-    circ_rules = [(c.body, c.head) for c in spec.clauses if c.kind == CIRCULAR]
+    std_rules = [(body, head) for head, body, kind in spec.clauses if kind == STANDARD]
+    circ_rules = [(body, head) for head, body, kind in spec.clauses if kind == CIRCULAR]
 
     # Ledgers are bit masks over the sorted events: each play builds one.
     bit = {e: 1 << i for i, e in enumerate(events)}

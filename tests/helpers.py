@@ -626,7 +626,11 @@ def check_play_reference(spec: ContractSpec, play) -> tuple[str, ...]:
             raise InvalidPlayError(f"position {i}: event {e!r} repeated")
         seen.add(e)
         if not compatible_reference(spec, seen):
+            if not compatible_reference(spec, ()):
+                raise InvalidPlayError("the play contains the empty conflict pair []")
             raise InvalidPlayError(f"position {i}: event {e!r} conflicts with an earlier event")
+    if not seq:
+        raise InvalidPlayError("the empty play contains the empty conflict pair []")
     raise AssertionError("unreachable: the whole-set checks accept every valid play")
 
 

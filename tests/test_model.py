@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -27,7 +29,7 @@ from pacta import (
 )
 from pacta.model import Diagnostic, is_reserved_name
 
-from helpers import c1, c3, e5, two_party
+from helpers import c1, c3, check_play_reference, e5, two_party
 
 
 def codes(diags):
@@ -53,6 +55,39 @@ class TestClause:
     def test_clauses_are_hashable_values(self):
         assert std("a", "b") == Clause("a", ("b",))
         assert len({std("a", "b"), Clause("a", ["b"]), circ("a", "b")}) == 2
+
+    def test_hash_is_the_hash_of_the_fields(self):
+        # As the frozen dataclass's was, so sets of clauses keep their order.
+        for c in (std("a"), std("b", "a"), circ("a", "c", "b")):
+            assert hash(c) == hash((c.head, c.body, c.kind))
+
+    def test_clauses_are_immutable(self):
+        c = std("b", "a")
+        for name in ("head", "body", "kind", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, "x")
+        assert c == std("b", "a")
+
+    @pytest.mark.parametrize(
+        "body", [["b", "a"], ("a", "b", "a"), {"a", "b"}, iter("ab"), {"a": 1, "b": 2}]
+    )
+    def test_any_iterable_body_becomes_a_frozenset(self, body):
+        c = Clause("h", body, CIRCULAR)
+        assert type(c.body) is frozenset and c.body == frozenset({"a", "b"})
+
+    def test_equality_and_inequality_between_clauses(self):
+        c = std("b", "a")
+        assert c == Clause("b", ["a"]) and not c != Clause("b", ["a"])
+        for other in (std("c", "a"), std("b"), std("b", "a", "c"), circ("b", "a")):
+            assert c != other and not c == other
+
+    def test_copy_and_pickle_round_trip(self):
+        for c in (std("a"), circ("a", "c", "b")):
+            copies = [copy.copy(c), copy.deepcopy(c)]
+            copies += [pickle.loads(pickle.dumps(c, protocol)) for protocol in range(6)]
+            for d in copies:
+                assert type(d) is Clause and d == c and repr(d) == repr(c)
+                assert hash(d) == hash(c) and type(d.body) is frozenset
 
 
 class TestPayoffs:
@@ -337,6 +372,21 @@ class TestPlays:
             with pytest.raises(InvalidPlayError) as err:
                 call()
             assert str(err.value) == "the empty play contains the empty conflict pair []"
+
+    @pytest.mark.parametrize("check", [check_play, check_play_reference])
+    def test_a_play_of_a_spec_with_an_empty_conflict_pair_names_the_pair(self, check):
+        # The empty pair lies in every prefix, so no event completes it; an
+        # unknown first event is still named first.
+        spec = dataclasses.replace(c1(), conflicts=frozenset({frozenset()}))
+        for play, message in (
+            ([], "the empty play contains the empty conflict pair []"),
+            (["b", "a"], "the play contains the empty conflict pair []"),
+            (["a", "a"], "the play contains the empty conflict pair []"),
+            (["zz", "a"], "position 0: 'zz' is not an event of the contract"),
+        ):
+            with pytest.raises(InvalidPlayError) as err:
+                check(spec, play)
+            assert str(err.value) == message
 
     def test_check_event_set(self):
         assert check_event_set(e5(), ["a", "b"]) == frozenset({"a", "b"})

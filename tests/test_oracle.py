@@ -13,6 +13,7 @@ from pacta import (
     analyze,
     check_derivation,
     circ,
+    interleave,
     nd_derivation,
     nd_provable,
     proof_traces,
@@ -26,6 +27,7 @@ from pacta import (
     traces_bruteforce,
 )
 from pacta.model import InvalidPlayError
+from pacta.oracle import _insertions
 
 from helpers import (
     DATA,
@@ -181,6 +183,15 @@ class TestTracesBruteforce:
         for _ in range(150):
             th = random_theory(rng, 2, 4)
             assert traces_bruteforce(th) == proof_traces(th)
+
+    def test_one_atom_insertions_are_the_interleavings(self):
+        # Traces have no repeats; the atom may already be in the trace.
+        rng = random.Random(7919)
+        atoms = "abcdefgh"
+        for _ in range(2_000):
+            tau = tuple(rng.sample(atoms, rng.randint(0, 7)))
+            atom = rng.choice(atoms)
+            assert _insertions(tau, atom) == interleave(tau, (atom,)), (tau, atom)
 
     def test_size_guard(self):
         th = HornTheory(frozenset("abcdefghi"), frozenset())
