@@ -117,6 +117,11 @@ class Clause(_ClauseFields):
             raise ValueError(f"unknown clause kind: {kind!r}")
         return tuple.__new__(cls, (head, frozenset(body), kind))
 
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Clause":
+        # The named tuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
+
     def __repr__(self) -> str:  # keep test failure output readable
         head, body, kind = self
         arrow = "<-" if kind == STANDARD else "<<-"

@@ -8,7 +8,6 @@ for the exponential oracles are calibrated so the whole file stays within
 a few minutes; the polynomial sides always run in full.
 """
 
-import gc
 import itertools
 import random
 from functools import lru_cache
@@ -77,17 +76,13 @@ from helpers import (
 @lru_cache(maxsize=None)
 def exhaustive_families():
     """Every one-body-per-slot theory and every sparse theory over 3 atoms."""
-    families = tuple(single_slot_family()), tuple(sparse_family())
-    gc.freeze()  # kept for the session: no full collection walks them again
-    return families
+    return tuple(single_slot_family()), tuple(sparse_family())
 
 
 @lru_cache(maxsize=None)
 def random_theories():
     rng = random.Random(20260817)
-    theories = tuple(random_theory(rng, min_atoms=1, max_atoms=6) for _ in range(10_000))
-    gc.freeze()
-    return theories
+    return tuple(random_theory(rng, min_atoms=1, max_atoms=6) for _ in range(10_000))
 
 
 def all_pasts(atoms):

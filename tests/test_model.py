@@ -45,6 +45,12 @@ class TestClause:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Clause("a", frozenset(), "sometimes")
+        with pytest.raises(ValueError):
+            std("a")._replace(kind="sometimes")
+
+    def test_replace_keeps_the_checks(self):
+        c = std("a")._replace(body=["c", "b"])
+        assert type(c) is Clause and c == std("a", "b", "c") and type(c.body) is frozenset
 
     def test_helpers_and_repr(self):
         assert std("b", "a") == Clause("b", frozenset({"a"}), STANDARD)
