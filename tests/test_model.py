@@ -63,7 +63,7 @@ class TestClause:
         assert len({std("a", "b"), Clause("a", ["b"]), circ("a", "b")}) == 2
 
     def test_hash_is_the_hash_of_the_fields(self):
-        # As the frozen dataclass's was, so sets of clauses keep their order.
+        # The iteration order of every set of clauses rests on it.
         for c in (std("a"), std("b", "a"), circ("a", "c", "b")):
             assert hash(c) == hash((c.head, c.body, c.kind))
 
