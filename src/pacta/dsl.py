@@ -37,7 +37,6 @@ import re
 from .model import (
     CIRCULAR,
     NAME_RE,
-    RESERVED_WORDS,
     STANDARD,
     Clause,
     ContractSpec,
@@ -45,8 +44,8 @@ from .model import (
     GoalPayoff,
     OfferRequestPayoff,
     SpecError,
+    _bad_name_code,
     conflicting_clauses,
-    is_reserved_name,
     validate,  # noqa: F401 -- unused here; perfbench/tracer.py patches dsl.validate
 )
 
@@ -109,10 +108,8 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
         if NAME_RE.match(token):
             named.add(token)
             return True
-        reserved = token in RESERVED_WORDS or is_reserved_name(token)
-        code = "reserved-identifier" if reserved else "bad-identifier"
         col = None if line is None else line.index(token) + 1
-        report(code, f"{token!r} is not a valid name", lineno, col)
+        report(_bad_name_code(token), f"{token!r} is not a valid name", lineno, col)
         return False
 
     # One frozenset per distinct event set, shared by every clause body and

@@ -14,8 +14,9 @@ Everything here is an immutable value object; the algorithms live in
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -69,6 +70,12 @@ class PreconditionError(SpecError):
 def is_reserved_name(name: str) -> bool:
     """True if *name* belongs to the tag namespace of the urgency encoding."""
     return name.startswith(RESERVED_PREFIXES) or "!" in name
+
+
+def _bad_name_code(name: str) -> str:
+    """The code of the finding about *name*, a name ``NAME_RE`` refuses."""
+    reserved = name in RESERVED_WORDS or is_reserved_name(name)
+    return "reserved-identifier" if reserved else "bad-identifier"
 
 
 @dataclass(frozen=True)
@@ -181,14 +188,13 @@ class OfferRequestPayoff:
             return False
         return any(req <= done for _, req in self.pairs)
 
+    @cached_property
+    def _events(self) -> frozenset[str]:
+        return frozenset(chain.from_iterable(chain(*self.pairs)))
+
     def events(self) -> frozenset[str]:
-        """Every event of every pair, collected once per value and kept in
-        the instance ``__dict__`` (``pairs`` is a tuple of frozensets, so
-        the set never goes stale)."""
-        out = self.__dict__.get("_events")
-        if out is None:
-            out = self.__dict__["_events"] = frozenset(chain.from_iterable(chain(*self.pairs)))
-        return out
+        """Every event of every pair, collected once per value."""
+        return self._events
 
 
 Payoff = GoalPayoff | OfferRequestPayoff
@@ -199,12 +205,14 @@ class ContractSpec:
     """An immutable, hashable contract specification.
 
     ``owner`` maps every event to its participant; ``conflicts`` is a set of
-    unordered event pairs that can never both occur in one play; ``payoffs``
-    maps participants to their payoff (participants may lack one, but several
-    game operations require totality).  The set fields are stored as
-    frozensets, whatever iterables they are given as; both mappings are
-    stored as read-only copies and left out of the hash, which the frozenset
-    fields carry.
+    pairs of distinct events that can never both occur in one play (any
+    other conflict is refused with a ``bad-conflict`` :class:`InvalidSpecError`);
+    ``payoffs`` maps participants to their payoff (participants may lack one,
+    but several game operations require totality).  The set fields are
+    stored as frozensets, whatever iterables they are given as; both
+    mappings are stored as read-only copies and left out of the hash, which
+    the frozenset fields carry.  Tables derived from the fields are built on
+    first use and kept on the value, so a new value builds its own.
     """
 
     events: frozenset[str]
@@ -215,10 +223,15 @@ class ContractSpec:
     payoffs: Mapping[str, Payoff] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
+        conflicts = frozenset(map(frozenset, self.conflicts))
+        bad = sorted(sorted(pair) for pair in conflicts if len(pair) != 2)
+        if bad:
+            message = "conflict must involve exactly two events, got {}"
+            raise InvalidSpecError([Diagnostic("bad-conflict", message.format(p)) for p in bad])
         object.__setattr__(self, "events", frozenset(self.events))
         object.__setattr__(self, "participants", frozenset(self.participants))
         object.__setattr__(self, "clauses", frozenset(self.clauses))
-        object.__setattr__(self, "conflicts", frozenset(map(frozenset, self.conflicts)))
+        object.__setattr__(self, "conflicts", conflicts)
         object.__setattr__(self, "owner", MappingProxyType(dict(self.owner)))
         object.__setattr__(self, "payoffs", MappingProxyType(dict(self.payoffs)))
 
@@ -246,61 +259,36 @@ class ContractSpec:
             payoffs=payoffs or {},
         )
 
+    @cached_property
+    def _owned_index(self) -> dict[str, frozenset[str]]:
+        groups: dict[str, list[str]] = {}
+        for e, p in self.owner.items():
+            groups.setdefault(p, []).append(e)
+        return {p: frozenset(events) for p, events in groups.items()}
+
+    @cached_property
+    def _partners(self) -> dict[str, set[str]]:
+        """Each event of a conflict -> the events it conflicts with, every
+        pair filed under both of its events."""
+        partners: defaultdict[str, set[str]] = defaultdict(set)
+        for x, y in self.conflicts:
+            partners[x].add(y)
+            partners[y].add(x)
+        return dict(partners)
+
     def owned_by(self, participant: str) -> frozenset[str]:
-        """The events *participant* owns, read off an index of the events
-        by owner that is built on first use and kept in the value's instance
-        ``__dict__``, as ``compatible`` keeps its conflict index."""
-        index = self.__dict__.get("_owned_index")
-        if index is None:
-            groups: dict[str, list[str]] = {}
-            for e, p in self.owner.items():
-                groups.setdefault(p, []).append(e)
-            index = {p: frozenset(events) for p, events in groups.items()}
-            self.__dict__["_owned_index"] = index
-        return index.get(participant, frozenset())
+        """The events *participant* owns."""
+        return self._owned_index.get(participant, frozenset())
 
     def compatible(self, done: Iterable[str]) -> bool:
-        """True when no conflicting pair is contained in *done*.
-
-        *done* is tested only against the pairs that touch it, through an
-        index of the pairs by member that is built on first use and kept in
-        the value's instance ``__dict__``.  ``conflicts`` is a frozenset, so
-        the index never goes stale; a new value builds its own.
-        """
+        """True when no conflicting pair is contained in *done*: no event of
+        *done* has a partner in it.  A disjointness test walks the smaller
+        side, so an event in many pairs costs a set at most its size."""
         if not self.conflicts:
             return True
         done = frozenset(done)
-        index = self.__dict__.get("_conflict_index")
-        if index is None:
-            index = self.__dict__["_conflict_index"] = _index_conflicts(self.conflicts)
-        partners, other_pairs = index
-        if any(not partners[x].isdisjoint(done) for x in done if x in partners):
-            return False
-        return not other_pairs or not any(
-            pair <= done for x in (None, *done) for pair in other_pairs.get(x, ())
-        )
-
-
-def _index_conflicts(
-    conflicts: frozenset[frozenset[str]],
-) -> tuple[dict[str, set[str]], dict[str | None, list[frozenset[str]]]]:
-    """File each conflict pair under one of its members.
-
-    A two-event pair {x, y} is filed as partner y of x; a set-disjointness
-    test walks the smaller side, so an event in many pairs costs a set at
-    most its size.  A hand-built pair of another size is filed whole under
-    one member, the empty pair under ``None``, which every set looks up: the
-    empty pair is contained in every set.
-    """
-    partners: dict[str, set[str]] = {}
-    other_pairs: dict[str | None, list[frozenset[str]]] = {}
-    for pair in conflicts:
-        if len(pair) == 2:
-            x, y = pair
-            partners.setdefault(x, set()).add(y)
-        else:
-            other_pairs.setdefault(next(iter(pair), None), []).append(pair)
-    return partners, other_pairs
+        partners = self._partners
+        return all(partners[x].isdisjoint(done) for x in done if x in partners)
 
 
 def _clause_key(c: Clause) -> tuple:
@@ -347,9 +335,7 @@ def validate(spec: ContractSpec) -> list[Diagnostic]:
     for section, role, names in ((0, "event", events), (1, "participant", participants)):
         for n in names:
             if not NAME_RE.match(n):
-                reserved = n in RESERVED_WORDS or is_reserved_name(n)
-                kind = "reserved-identifier" if reserved else "bad-identifier"
-                bad((section, n), kind, f"{role} name {n!r} is not a valid identifier")
+                bad((section, n), _bad_name_code(n), f"{role} name {n!r} is not a valid identifier")
 
     for e in events.difference(spec.owner):
         bad((2, e), "unowned-event", f"event {e!r} has no owner")
@@ -371,10 +357,6 @@ def validate(spec: ContractSpec) -> list[Diagnostic]:
         found.setdefault(key, []).append(finding)
 
     for pair in spec.conflicts:
-        if len(pair) != 2:
-            message = f"conflict must involve exactly two events, got {sorted(pair)}"
-            bad((5, tuple(sorted(pair))), "bad-conflict", message)
-            continue
         for e in sorted(pair - events):
             message = f"conflict mentions undeclared event {e!r}"
             bad((5, tuple(sorted(pair))), "unknown-event", message)
@@ -409,32 +391,24 @@ def check_play(spec: ContractSpec, play: Iterable[str]) -> tuple[str, ...]:
     legitimate, that is the whole point of circular clauses.
 
     A valid play is accepted by whole-set checks.  An invalid one is walked
-    to its first unknown or repeated event; a prefix can only lose
-    compatibility as it grows, so the first event before that one to complete
-    a conflict is found by bisection.  Either way the first offending position
-    is named.
+    once, to its first unknown or repeated event or its first event in
+    conflict with an earlier one, and that position is named.
     """
     seq = tuple(play)
     whole = frozenset(seq)
     if len(whole) == len(seq) and whole <= spec.events and spec.compatible(whole):
         return seq
-    if not seq:  # only an empty conflict pair, which every set contains, rejects it
-        raise InvalidPlayError("the empty play contains the empty conflict pair []")
+    partners = spec._partners
     seen: set[str] = set()
-    stop = len(seq)
     for i, e in enumerate(seq):
-        if e not in spec.events or e in seen:
-            stop = i
-            break
+        if e not in spec.events:
+            raise InvalidPlayError(f"position {i}: {e!r} is not an event of the contract")
+        if e in seen:
+            raise InvalidPlayError(f"position {i}: event {e!r} repeated")
+        if not seen.isdisjoint(partners.get(e, ())):
+            raise InvalidPlayError(f"position {i}: event {e!r} conflicts with an earlier event")
         seen.add(e)
-    i = bisect_left(range(stop), True, key=lambda j: not spec.compatible(seq[: j + 1]))
-    if i < stop:
-        if frozenset() in spec.conflicts:  # no event completes it: every prefix holds it
-            raise InvalidPlayError("the play contains the empty conflict pair []")
-        raise InvalidPlayError(f"position {i}: event {seq[i]!r} conflicts with an earlier event")
-    if seq[i] not in spec.events:
-        raise InvalidPlayError(f"position {i}: {seq[i]!r} is not an event of the contract")
-    raise InvalidPlayError(f"position {i}: event {seq[i]!r} repeated")
+    raise AssertionError("unreachable: the whole-set checks accept every valid play")
 
 
 def check_event_set(spec: ContractSpec, events: Iterable[str]) -> frozenset[str]:

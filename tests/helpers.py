@@ -612,8 +612,8 @@ def compatible_reference(spec: ContractSpec, done) -> bool:
 
 
 def check_play_reference(spec: ContractSpec, play) -> tuple[str, ...]:
-    """``model.check_play`` as it was before it bisected for the first
-    conflict: a conflict test after every step of an invalid play."""
+    """``model.check_play`` as it was before it indexed the conflicts: a
+    scan of every pair after every step of an invalid play."""
     seq = tuple(play)
     whole = frozenset(seq)
     if len(whole) == len(seq) and whole <= spec.events and compatible_reference(spec, whole):
@@ -626,11 +626,7 @@ def check_play_reference(spec: ContractSpec, play) -> tuple[str, ...]:
             raise InvalidPlayError(f"position {i}: event {e!r} repeated")
         seen.add(e)
         if not compatible_reference(spec, seen):
-            if not compatible_reference(spec, ()):
-                raise InvalidPlayError("the play contains the empty conflict pair []")
             raise InvalidPlayError(f"position {i}: event {e!r} conflicts with an earlier event")
-    if not seq:
-        raise InvalidPlayError("the empty play contains the empty conflict pair []")
     raise AssertionError("unreachable: the whole-set checks accept every valid play")
 
 
@@ -679,9 +675,6 @@ def validate_reference(spec: ContractSpec) -> list[Diagnostic]:
             )
 
     for pair in sorted(spec.conflicts, key=sorted):
-        if len(pair) != 2:
-            bad("bad-conflict", f"conflict must involve exactly two events, got {sorted(pair)}")
-            continue
         for e in sorted(pair):
             if e not in spec.events:
                 bad("unknown-event", f"conflict mentions undeclared event {e!r}")

@@ -23,7 +23,6 @@ from pacta import (
     credits,
     encode_urgency,
     innocent,
-    interleave,
     is_proof_trace,
     is_prudent_play,
     iter_proof_traces,
@@ -45,8 +44,9 @@ from pacta import (
     wins,
 )
 from pacta.cli import main
+from pacta.game import _rules
 from pacta.gen import _neighbours
-from pacta.logic import mark_done, mark_reachable, mark_urgent
+from pacta.logic import interleave, mark_done, mark_reachable, mark_urgent
 from pacta.oracle import _final_credits
 
 from helpers import (
@@ -110,10 +110,26 @@ def trace_next(theory, done):
 
 def tagged_urgent(enc, atoms, past):
     """Atoms outside *past* whose ``U$`` tag the encoding *enc* proves once
-    every atom of *past* is marked done."""
-    ext = HornTheory(enc.atoms, frozenset(enc.clauses) | {std(mark_done(a)) for a in past})
-    provable = provable_atoms(ext)
-    return frozenset(a for a in atoms - past if mark_urgent(a) in provable)
+    every atom of *past* is marked done: the done marks' credit closure
+    under the one rule index of *enc*, shared by every past."""
+    proved = _rules(enc).credit_closure({mark_done(a) for a in past})
+    return frozenset(a for a in atoms - past if mark_urgent(a) in proved)
+
+
+def test_tagged_urgent_is_provability_with_the_done_marks_as_facts():
+    # The encoding's theorem speaks of the theory with the marks added as
+    # facts; tagged_urgent reads the encoding's own index instead.
+    rng = random.Random(1729)
+    for _ in range(3_000):
+        th = random_theory(rng, 3, 6)
+        enc = encode_urgency(th)
+        atoms = sorted(th.atoms)
+        for _ in range(6):
+            past = frozenset(rng.sample(atoms, rng.randint(0, len(atoms))))
+            ext = HornTheory(enc.atoms, enc.clauses | {std(mark_done(a)) for a in past})
+            proved = provable_atoms(ext)
+            expected = frozenset(a for a in th.atoms - past if mark_urgent(a) in proved)
+            assert tagged_urgent(enc, th.atoms, past) == expected, (th, past)
 
 
 def ledger(spec, play):

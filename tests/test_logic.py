@@ -8,7 +8,6 @@ from pacta import (
     PreconditionError,
     circ,
     encode_urgency,
-    interleave,
     is_proof_trace,
     iter_proof_traces,
     proof_traces,
@@ -19,7 +18,7 @@ from pacta import (
     theory_of,
     urgent_atoms,
 )
-from pacta.logic import mark_done, mark_reachable, mark_urgent
+from pacta.logic import interleave, mark_done, mark_reachable, mark_urgent
 
 from helpers import c3, delta1, delta2, delta3, delta4, e5, star_theory
 

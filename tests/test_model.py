@@ -18,18 +18,15 @@ from pacta import (
     check_event_set,
     check_play,
     circ,
-    credit_free,
-    credits,
     ensure_valid,
     parse,
     print_spec,
-    prudence_bruteforce,
     std,
     validate,
 )
 from pacta.model import Diagnostic, is_reserved_name
 
-from helpers import c1, c3, check_play_reference, e5, two_party
+from helpers import c1, c3, e5, two_party
 
 
 def codes(diags):
@@ -216,6 +213,22 @@ class TestContractSpec:
         )
         assert len({spec, dataclasses.replace(spec)}) == 1
 
+    @pytest.mark.parametrize("pair", [(), ("a",), ("a", "b", "c"), ("a", "a")])
+    def test_a_conflict_of_other_than_two_events_is_refused(self, pair):
+        owner = {"a": "A", "b": "A", "c": "A"}
+        message = f"conflict must involve exactly two events, got {sorted(set(pair))}"
+        for build in (
+            lambda: ContractSpec(frozenset(owner), {"A"}, owner, frozenset(), [pair]),
+            lambda: ContractSpec.of(owner, conflicts=[("a", "b"), pair]),
+            lambda: dataclasses.replace(ContractSpec.of(owner), conflicts=[pair]),
+        ):
+            with pytest.raises(InvalidSpecError) as err:
+                build()
+            assert isinstance(err.value, ValueError)
+            assert [(d.code, d.message) for d in err.value.diagnostics] == [
+                ("bad-conflict", message)
+            ]
+
     def test_mappings_are_read_only_copies(self):
         owner = {"a": "A", "b": "B"}
         spec = ContractSpec.of(owner=owner, payoffs={"A": GoalPayoff(frozenset({"b"}))})
@@ -297,14 +310,16 @@ class TestValidate:
         assert validate(spec) == []
 
     def test_malformed_conflict_pair(self):
-        spec = ContractSpec(
-            events=frozenset({"a"}),
-            participants=frozenset({"A"}),
-            owner={"a": "A"},
-            clauses=frozenset(),
-            conflicts=frozenset({frozenset({"a"})}),
-        )
-        assert "bad-conflict" in codes(validate(spec))
+        # The constructor refuses it, so validate never meets one.
+        with pytest.raises(InvalidSpecError) as err:
+            ContractSpec(
+                events=frozenset({"a"}),
+                participants=frozenset({"A"}),
+                owner={"a": "A"},
+                clauses=frozenset(),
+                conflicts=frozenset({frozenset({"a"})}),
+            )
+        assert codes(err.value.diagnostics) == {"bad-conflict"}
 
     def test_payoff_problems(self):
         spec = ContractSpec.of(
@@ -365,34 +380,11 @@ class TestPlays:
             check_play(spec, play)
         assert str(err.value) == message
 
-    def test_the_empty_play_of_a_spec_with_an_empty_conflict_pair_is_refused(self):
-        # Only a hand-built spec holds the empty pair; validate reports it.
-        spec = dataclasses.replace(c1(), conflicts=frozenset({frozenset()}))
-        assert "bad-conflict" in codes(validate(spec))
-        for call in (
-            lambda: check_play(spec, []),
-            lambda: credits(spec, []),
-            lambda: credit_free(spec, "A", []),
-            lambda: prudence_bruteforce(spec, ()),
-        ):
-            with pytest.raises(InvalidPlayError) as err:
-                call()
-            assert str(err.value) == "the empty play contains the empty conflict pair []"
-
-    @pytest.mark.parametrize("check", [check_play, check_play_reference])
-    def test_a_play_of_a_spec_with_an_empty_conflict_pair_names_the_pair(self, check):
-        # The empty pair lies in every prefix, so no event completes it; an
-        # unknown first event is still named first.
-        spec = dataclasses.replace(c1(), conflicts=frozenset({frozenset()}))
-        for play, message in (
-            ([], "the empty play contains the empty conflict pair []"),
-            (["b", "a"], "the play contains the empty conflict pair []"),
-            (["a", "a"], "the play contains the empty conflict pair []"),
-            (["zz", "a"], "position 0: 'zz' is not an event of the contract"),
-        ):
-            with pytest.raises(InvalidPlayError) as err:
-                check(spec, play)
-            assert str(err.value) == message
+    def test_no_spec_holds_the_empty_conflict_pair(self):
+        # It would lie in every play, the empty one included.
+        with pytest.raises(InvalidSpecError, match=r"got \[\]"):
+            dataclasses.replace(c1(), conflicts=frozenset({frozenset()}))
+        assert check_play(e5(), []) == ()
 
     def test_check_event_set(self):
         assert check_event_set(e5(), ["a", "b"]) == frozenset({"a", "b"})

@@ -13,7 +13,6 @@ from pacta import (
     analyze,
     check_derivation,
     circ,
-    interleave,
     nd_derivation,
     nd_provable,
     proof_traces,
@@ -26,6 +25,7 @@ from pacta import (
     theory_of,
     traces_bruteforce,
 )
+from pacta.logic import interleave
 from pacta.model import InvalidPlayError
 from pacta.oracle import _insertions
 

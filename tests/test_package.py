@@ -18,6 +18,7 @@ def test_exports_resolve_and_removed_names_are_gone():
         (pacta, "reach_atoms"),
         (logic, "reach_atoms"),
         (pacta.ContractSpec, "is_conflict_free"),
+        (pacta, "interleave"),
     ):
         assert not hasattr(module, name), name
     assert oracle.RULES == ("Id", "ArrowE", "CArrowE")
