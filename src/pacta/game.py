@@ -57,10 +57,9 @@ class RuleIndex:
 
     One pass over the clauses files both kinds of body by head and compiles
     the standard clauses into the counter tables that ``_propagate`` runs
-    on, so each fixpoint call only copies a list of counts.  The circular
-    tables that ``_withdraw`` counts missing atoms on (the bodies, their
-    heads and the bodies by atom) are built together by the first
-    withdrawal and kept in one slot.
+    on, so each fixpoint call only copies a list of counts.  Besides these
+    tables it keeps only two answers: ``provable`` and the last
+    ``next_events``.
     """
 
     __slots__ = (
@@ -71,7 +70,6 @@ class RuleIndex:
         "_need",
         "_std_heads",
         "_facts",
-        "_circ_tables",
         "_last_next",
         "_provable",
     )
@@ -99,7 +97,6 @@ class RuleIndex:
         self._heads = frozenset(self.std_bodies) | frozenset(self.circ_bodies)
         self._need = need
         self._facts = frozenset(facts)
-        self._circ_tables: tuple[list, list[str], dict[str, list[int]]] | None = None
         self._last_next: tuple[frozenset[str], frozenset[str]] | None = None
         self._provable: frozenset[str] | None = None
 
@@ -140,58 +137,39 @@ class RuleIndex:
         The largest consistent grant: grant every circular head, close under
         the standard clauses, and withdraw each grant none of whose circular
         bodies lies inside the closure, until no grant is withdrawn.  When
-        the first closure withdraws nothing, that closure is the answer;
-        otherwise ``_withdraw`` updates it in place, batch by batch.
+        the first closure withdraws nothing, it is the answer.
+
+        Otherwise the grants are taken back by delete and rederive, on the
+        counters of that closure, batch by batch: each batch first
+        overdeletes every atom a derivation of which used a withdrawn grant
+        (atoms of *done*, facts and grants still held are spared), then
+        rederives, with ``_propagate``, the overdeleted atoms that some
+        standard clause still supports.  The closure only shrinks, so a
+        circular body outside the first closure never holds again: only the
+        bodies inside it are filed under their atoms, and a grant falls in
+        the next batch when its last filed body loses its first atom.  Each
+        batch touches only the clauses of the atoms it moves.
         """
         base = set(done)
         grant = set(self.circ_bodies)
         closed, need = self._close(base | grant)
         circ = self.circ_bodies
         out = {e for e in grant if not any(b <= closed for b in circ[e])}
-        if out:
-            self._withdraw(closed, need, base, grant - out, out)
-        return closed
-
-    def _withdraw(
-        self,
-        closed: set[str],
-        need: list[int],
-        base: set[str],
-        grant: set[str],
-        out: set[str],
-    ) -> None:
-        """Take the grants *out* back from the closure *closed* of
-        ``base ∪ grant ∪ out``, and every grant that loses its last circular
-        body on the way, leaving the closure of *base* and the grants kept.
-
-        Delete and rederive, on the counters *need* of ``_close``: each
-        batch of withdrawn grants first overdeletes every atom a derivation
-        of which used one (atoms of *base*, facts and grants still held are
-        spared), then rederives, with ``_propagate``, the overdeleted atoms
-        that some standard clause still supports.  Missing-atom counts per
-        circular body, on the table of bodies by atom, name the grants
-        of the next batch: those whose last full body lost an atom.  Each
-        batch touches only the clauses of the atoms it moves.
-        """
-        by_atom = self._by_atom
-        heads = self._std_heads
-        std = self.std_bodies
-        if self._circ_tables is None:
-            circ_list, circ_heads, circ_by_atom = [], [], {}
-            for head, bodies in self.circ_bodies.items():
-                for body in bodies:
-                    for a in body:
-                        circ_by_atom.setdefault(a, []).append(len(circ_list))
-                    circ_list.append(body)
-                    circ_heads.append(head)
-            self._circ_tables = (circ_list, circ_heads, circ_by_atom)
-        circ_list, circ_heads, circ_by_atom = self._circ_tables
+        if not out:
+            return closed
+        grant -= out
+        owner: list[str | None] = []  # the grant of each filed body, None once broken
+        filed: dict[str, list[int]] = {}
+        whole = dict.fromkeys(grant, 0)  # filed bodies of each grant not yet broken
+        for h in grant:
+            for b in circ[h]:
+                if b <= closed:
+                    for a in b:
+                        filed.setdefault(a, []).append(len(owner))
+                    owner.append(h)
+                    whole[h] += 1
+        by_atom, heads, std = self._by_atom, self._std_heads, self.std_bodies
         keep = base | self._facts
-        missing = [len(b - closed) for b in circ_list]
-        full = dict.fromkeys(self.circ_bodies, 0)  # bodies with none missing
-        for k, m in enumerate(missing):
-            if not m:
-                full[circ_heads[k]] += 1
         while out:
             gone = out - keep
             closed -= gone
@@ -212,14 +190,15 @@ class RuleIndex:
             self._propagate(closed, need, queue)
             out = set()
             for a in gone - closed:
-                for k in circ_by_atom.get(a, ()):
-                    missing[k] += 1
-                    if missing[k] == 1:
-                        h = circ_heads[k]
-                        full[h] -= 1
-                        if not full[h] and h in grant:
+                for k in filed.get(a, ()):
+                    h = owner[k]
+                    if h is not None:
+                        owner[k] = None
+                        whole[h] -= 1
+                        if not whole[h]:
                             out.add(h)
             grant -= out
+        return closed
 
     def next_events(self, done: frozenset[str]) -> frozenset[str]:
         """Events not yet in *done* that can be performed prudently now.

@@ -60,7 +60,7 @@ def shy_dancers(n: int, circular: Iterable[Cell] | None = None) -> ContractSpec:
         circular_cells = set(cells)
     else:
         circular_cells = set(circular)
-        stray = sorted(c for c in circular_cells if c not in set(cells))
+        stray = sorted(circular_cells.difference(cells))
         if stray:
             raise PreconditionError(f"cells outside the {n}x{n} grid: {stray}")
 

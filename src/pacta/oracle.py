@@ -57,6 +57,12 @@ class Derivation:
     clause: Clause | None = None
 
 
+def _clause_order(c: Clause) -> tuple[str, str, list[str]]:
+    """The order ``_NdSearch`` tries clauses in: head, kind, sorted body."""
+    head, body, kind = c
+    return head, kind, sorted(body)
+
+
 class _NdSearch:
     """Forward chaining per assumption set, recursing only into larger sets.
     Guarded at 12 atoms."""
@@ -66,9 +72,7 @@ class _NdSearch:
             raise PreconditionError(
                 "natural-deduction search supports at most 12 atoms"
             )
-        self.clauses = sorted(
-            theory.clauses, key=lambda c: (c.head, c.kind, sorted(c.body))
-        )
+        self.clauses = sorted(theory.clauses, key=_clause_order)
         self.memo: dict[frozenset[str], frozenset[str]] = {}
         # (assumptions, atom) -> clause that first derived the atom there
         self.fired_by: dict[tuple[frozenset[str], str], Clause] = {}
@@ -133,32 +137,40 @@ def nd_derivation(
 
 
 def check_derivation(theory: HornTheory, deriv: Derivation) -> bool:
-    """Audit a proof tree rule by rule against the theory."""
-    if deriv.rule == "Id":
-        return (
-            deriv.goal in deriv.assumptions
-            and not deriv.premises
-            and deriv.clause is None
-        )
-    if deriv.rule in ("ArrowE", "CArrowE"):
-        c = deriv.clause
-        if c is None or c not in theory.clauses or c.head != deriv.goal:
+    """Audit a proof tree rule by rule against the theory.
+
+    A node's own check does not depend on where it sits: its parent checks
+    that it carries the parent's scope as its assumptions.  So the walk
+    keeps an explicit stack and checks each distinct node object once,
+    keyed by ``id`` (a tree that shares a subproof is checked in time
+    linear in its distinct nodes, and no depth overflows the call stack).
+    """
+    seen = {id(deriv)}
+    stack = [deriv]
+    while stack:
+        node = stack.pop()
+        if node.rule == "Id":
+            if node.goal not in node.assumptions or node.premises or node.clause is not None:
+                return False
+            continue
+        if node.rule not in ("ArrowE", "CArrowE"):
             return False
-        wanted_kind = STANDARD if deriv.rule == "ArrowE" else CIRCULAR
+        c = node.clause
+        if c is None or c not in theory.clauses or c.head != node.goal:
+            return False
+        wanted_kind = STANDARD if node.rule == "ArrowE" else CIRCULAR
         if c.kind != wanted_kind:
             return False
-        scope = (
-            deriv.assumptions
-            if deriv.rule == "ArrowE"
-            else deriv.assumptions | {deriv.goal}
-        )
-        if tuple(p.goal for p in deriv.premises) != tuple(sorted(c.body)):
+        scope = node.assumptions if node.rule == "ArrowE" else node.assumptions | {node.goal}
+        if tuple(p.goal for p in node.premises) != tuple(sorted(c.body)):
             return False
-        return all(
-            p.assumptions == scope and check_derivation(theory, p)
-            for p in deriv.premises
-        )
-    return False
+        for p in node.premises:
+            if p.assumptions != scope:
+                return False
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return True
 
 
 def _insertions(tau: Trace, atom: str) -> set[Trace]:

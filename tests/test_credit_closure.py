@@ -1,14 +1,16 @@
 """Withdrawing credit by delete and rederive.
 
 ``RuleIndex.credit_closure`` closes once under every grant and then takes the
-withdrawn grants back batch by batch, on the counters of that one closure
-(``RuleIndex._withdraw``).  It is checked here against the pass-by-pass
-fixpoint it replaced (``helpers.credit_closure_by_passes``) on seeded random
-theories, each indexed from its clauses in two orders, and at every prefix of
-the generated families; ``prudent``, which
-asks for the credit closure only for steps no standard body justifies, is
-checked against ``next_events`` step by step; and two cost guards pin the
-linear behaviour.
+withdrawn grants back batch by batch, on the counters of that one closure,
+counting down only the circular bodies that lie inside it.  It is checked
+here against the pass-by-pass fixpoint it replaced
+(``helpers.credit_closure_by_passes``) on seeded random theories, each
+indexed from its clauses in two orders, and at every prefix of the generated
+families; ``prudent``, which asks for the credit closure only for steps no
+standard body justifies, is checked against ``next_events`` step by step;
+and cost guards pin the linear behaviour and the two shortcuts that change
+no answer: facts are spared by a withdrawal, and a closure that withdraws
+nothing files no bodies.
 """
 
 import itertools
@@ -22,6 +24,7 @@ from pacta import (
     provable_events,
     shy_dancers,
     spec_of,
+    std,
 )
 from pacta.cli import main
 from pacta.game import RuleIndex
@@ -173,6 +176,28 @@ def test_provable_events_on_a_long_withdrawal_cascade_is_about_linear():
     spec, c, s = withdrawal_cascade(2_000)
     with budget(0.5):
         assert provable_events(spec) == frozenset(s)
+
+
+def test_a_withdrawal_spares_the_facts_it_touches():
+    # s1 is a fact that every grant c_j also gives: each of the 2,000
+    # batches takes a clause of s1 away, and overdeleting s1 there would
+    # overdelete and rederive the whole chain s_k once per batch.
+    spec, c, s = withdrawal_cascade(2_000)
+    rules = RuleIndex([*spec.clauses, *(std(s[0], cj) for cj in c)])
+    with budget(0.5):
+        assert rules.credit_closure(()) == set(s)
+
+
+def test_a_credit_closure_that_withdraws_nothing_costs_one_closure():
+    # Every grant of the all-circular 30×30 grid holds at every past, so
+    # each call is one closure and one look for a body inside it; filing
+    # all 23,084 circular bodies by atom would cost about fifteen times that.
+    spec = shy_dancers(30)
+    rules = RuleIndex(spec.clauses)
+    order = sorted(spec.events)
+    with budget(0.5):
+        for k in range(0, len(order), 9):
+            assert rules.credit_closure(order[:k]) == spec.events
 
 
 def test_check_trace_on_a_long_standard_chain_is_about_linear(tmp_path, capsys):

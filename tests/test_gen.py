@@ -71,6 +71,10 @@ class TestShyDancers:
         assert {c.kind for c in shy_dancers(3).clauses} == {CIRCULAR}
         assert {c.kind for c in shy_dancers(3, circular=[]).clauses} == {STANDARD}
 
+    def test_listing_every_cell_is_the_default(self):
+        cells = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+        assert shy_dancers(3, circular=cells) == shy_dancers(3)
+
     def test_circular_cells_promise_their_dance(self):
         spec = shy_dancers(3, circular=[(1, 1), (2, 3)])
         kinds = {c.head: {x.kind for x in spec.clauses if x.head == c.head} for c in spec.clauses}
@@ -87,7 +91,7 @@ class TestShyDancers:
     def test_rejects_degenerate_grids_and_stray_cells(self):
         with pytest.raises(PreconditionError):
             shy_dancers(1)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"outside the 3x3 grid: \[\(0, 2\)\]"):
             shy_dancers(3, circular=[(0, 2)])
         with pytest.raises(PreconditionError):
             shy_dancers(3, circular=[(1, 4)])

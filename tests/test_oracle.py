@@ -6,6 +6,7 @@ import random
 import pytest
 
 from pacta import (
+    CIRCULAR,
     Clause,
     Derivation,
     HornTheory,
@@ -91,6 +92,43 @@ class TestNdProvable:
             nd_derivation(over, "x13")
 
 
+def chain_derivation(n, bottom):
+    """The theory ``x0, x1 <- x0, …, xn <- x(n-1)`` and a proof of ``xn`` n+1
+    nodes deep whose leaf applies the clause *bottom* for ``x0``."""
+    th = HornTheory.of([std("x0")] + [std(f"x{k}", f"x{k - 1}") for k in range(1, n + 1)])
+    rule = "CArrowE" if bottom.kind == CIRCULAR else "ArrowE"
+    node = Derivation("x0", rule, frozenset(), (), bottom)
+    for k in range(1, n + 1):
+        node = Derivation(f"x{k}", "ArrowE", frozenset(), (node,), std(f"x{k}", f"x{k - 1}"))
+    return th, node
+
+
+def diamond_ladder(levels):
+    """A theory whose proof of ``b<levels>`` has 3 * levels + 1 distinct nodes
+    but 2 ** levels paths: ``l_i`` and ``r_i`` each rest on the one node for
+    ``b_(i-1)``, and ``b_i`` on both."""
+    th = HornTheory.of(
+        [std("b0")]
+        + [
+            c
+            for i in range(1, levels + 1)
+            for c in (
+                std(f"l{i}", f"b{i - 1}"),
+                std(f"r{i}", f"b{i - 1}"),
+                std(f"b{i}", f"l{i}", f"r{i}"),
+            )
+        ]
+    )
+    node = Derivation("b0", "ArrowE", frozenset(), (), std("b0"))
+    for i in range(1, levels + 1):
+        sides = tuple(
+            Derivation(f"{s}{i}", "ArrowE", frozenset(), (node,), std(f"{s}{i}", f"b{i - 1}"))
+            for s in "lr"
+        )
+        node = Derivation(f"b{i}", "ArrowE", frozenset(), sides, std(f"b{i}", f"l{i}", f"r{i}"))
+    return th, node
+
+
 class TestNdDerivation:
     def test_underivable_goal_gives_none(self):
         assert nd_derivation(delta2(), "a") is None
@@ -152,6 +190,17 @@ class TestNdDerivation:
             tree.goal, tree.rule, tree.assumptions, tree.premises[::-1], tree.clause
         )
         assert not check_derivation(th, flipped)
+
+    def test_a_deep_chain_checks_without_recursion(self):
+        th, top = chain_derivation(5_000, std("x0"))
+        assert check_derivation(th, top)
+        foreign_bottom = chain_derivation(5_000, circ("x0"))[1]
+        assert not check_derivation(th, foreign_bottom)
+
+    def test_a_shared_subproof_is_checked_once(self):
+        th, top = diamond_ladder(40)
+        with budget(1):
+            assert check_derivation(th, top)
 
     def test_premise_scope_is_audited(self):
         th = delta3()
