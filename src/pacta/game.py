@@ -19,13 +19,12 @@ contract that can be brought about by prudent cooperation, which is what the
 agreement check is built on; ``provable`` gets the same set from a single
 ``credit_closure`` of the empty set, once per index.  A prudent step never
 moves the credit closure, so every past inside ``provable`` has it as its
-credit closure: ``prudent`` checks a whole play step by step, each step
-against its own clauses and ``provable``, and ``next_events`` follows a
-prudent play by deltas.  ``unjustified`` reads the credit ledger of a
-sequence; both serve the game queries here and proof traces in
-:mod:`pacta.logic`.  Each spec or theory value builds its index once and
-every query on it shares that one (:func:`_rules`).  All operations in this
-module work on finite plays.
+credit closure, and ``next_events`` follows a prudent play by deltas.
+``_credit_spans`` reads each step's credit interval: ``credits`` sweeps
+them, ``unjustified`` keeps those never closed (the final ledger, deciding
+proof traces in :mod:`pacta.logic`), ``prudent`` checks those on credit
+against ``provable``.  Every query on a spec or theory shares its one index
+(:func:`_rules`).  All operations in this module work on finite plays.
 """
 
 from __future__ import annotations
@@ -39,9 +38,7 @@ from .model import (
     STANDARD,
     Clause,
     ContractSpec,
-    GoalPayoff,
     InvalidPlayError,
-    OfferRequestPayoff,
     PreconditionError,
     Strategy,
     check_event_set,
@@ -270,32 +267,18 @@ class RuleIndex:
     def prudent(self, seq: Sequence[str]) -> bool:
         """Is every step of *seq* in ``next_events`` of the steps before it?
 
-        Each step is checked against its own clauses: a standard body inside
-        its past passes it, and only otherwise is one of its circular bodies
-        looked for inside ``provable()``.  That is the credit closure of the
-        past, because a prudent step never moves the credit closure (see
-        ``next_events``): by induction every step of a prudent prefix lies
-        in ``credit_closure(∅) = provable()``, and so does the prefix.  The
-        walk stops at the first step that fails, so ``provable()`` is
-        computed at most once, at the first step only a circular clause can
-        justify, and a play costs that closure plus the bodies of its steps.
-        A repeated step never passes: a done event is never next.
+        A repeated step never is.  Otherwise it is when each step that goes
+        on credit (``_credit_spans``) has a circular body inside
+        ``provable()``, the credit closure of every prefix, by induction (see
+        ``next_events``); only then is ``provable()`` computed.
         """
-        past: set[str] = set()
-        provable: frozenset[str] | None = None
-        for e in seq:
-            if e in past:
-                return False
-            if not any(b <= past for b in self.std_bodies.get(e, ())):
-                bodies = self.circ_bodies.get(e, ())
-                if not bodies:
-                    return False
-                if provable is None:
-                    provable = self.provable()
-                if not any(b <= provable for b in bodies):
-                    return False
-            past.add(e)
-        return True
+        if len(set(seq)) < len(seq):
+            return False
+        spans = self._credit_spans(seq)
+        if not spans:
+            return True
+        provable, circ = self.provable(), self.circ_bodies
+        return all(any(b <= provable for b in circ.get(e, ())) for e, _, _ in spans)
 
     def unjustified(self, seq: Sequence[str]) -> frozenset[str]:
         """The final credit ledger of the duplicate-free sequence *seq*.
@@ -523,16 +506,10 @@ def wins(spec: ContractSpec, participant: str, play: Sequence[str]) -> bool:
 def agreement(spec: ContractSpec) -> bool:
     """Can every participant's payoff be met by prudent cooperation?
 
-    Requires a conflict-free spec whose payoffs are total and depend only on
-    the set of performed events (both built-in payoff forms qualify).
+    Requires a conflict-free spec whose payoffs are total.
     """
     _require_conflict_free(spec, "agreement")
     _require_total_payoffs(spec, "agreement")
-    for p, payoff in spec.payoffs.items():
-        if not isinstance(payoff, (GoalPayoff, OfferRequestPayoff)):
-            raise PreconditionError(
-                f"payoff for {p!r} is not a reachability payoff"
-            )
     done = _rules(spec).provable()
     return all(spec.payoffs[p].holds(done) for p in spec.participants)
 

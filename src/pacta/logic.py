@@ -13,12 +13,11 @@ in it, and re-inserts ``a`` via interleaving — which is what lets ``a`` occur
 *before* its justification.
 
 The traces are computed from the game side instead: a sequence is a proof
-trace exactly when it is a prudent play of the theory (each atom is in
-``RuleIndex.next_events`` of the atoms before it) whose final credit ledger
-(``RuleIndex.unjustified``) is empty.  The interleaving definition survives
-as :func:`pacta.oracle.traces_bruteforce`, which the tests hold the fast
-path to.  Every query on one theory value shares that value's one index
-(``game._rules``), as the game queries on one spec value do.
+trace exactly when it repeats no atom and its final credit ledger
+(``RuleIndex.unjustified``) is empty, which makes it a prudent play.  The
+interleaving definition survives as :func:`pacta.oracle.traces_bruteforce`,
+which the tests hold the fast path to.  Every query on one theory value
+shares its one index (``game._rules``), as the game queries on a spec do.
 
 The urgency encoding compiles the question "which atom may be performed
 next?" into plain provability over a tagged alphabet: ``!a`` ("a was already
@@ -157,18 +156,14 @@ def proof_traces(theory: HornTheory, max_count: int | None = None) -> frozenset[
 
 
 def is_proof_trace(theory: HornTheory, trace: Sequence[str]) -> bool:
-    """Membership in the trace set, decided as a prudent play with an empty
-    credit ledger.
-
-    Unknown atoms are a precondition error; a sequence that repeats an atom
-    is not a trace.
-    """
+    """Membership in the trace set: *trace* repeats no atom and leaves an
+    empty credit ledger.  Unknown atoms are a precondition error."""
     seq = tuple(trace)
-    unknown = frozenset(seq) - theory.atoms
+    atoms = frozenset(seq)
+    unknown = atoms - theory.atoms
     if unknown:
         raise PreconditionError(f"unknown atoms: {', '.join(sorted(unknown))}")
-    rules = _rules(theory)
-    return rules.prudent(seq) and not rules.unjustified(seq)
+    return len(atoms) == len(seq) and not _rules(theory).unjustified(seq)
 
 
 # ---------------------------------------------------------------------------

@@ -207,8 +207,8 @@ class ContractSpec:
     ``owner`` maps every event to its participant; ``conflicts`` is a set of
     pairs of distinct events that can never both occur in one play (any
     other conflict is refused with a ``bad-conflict`` :class:`InvalidSpecError`);
-    ``payoffs`` maps participants to their payoff (participants may lack one,
-    but several game operations require totality).  The set fields are
+    ``payoffs`` maps participants to a :data:`Payoff` (anything else is a
+    ``bad-payoff`` error; several operations require totality).  The set fields are
     stored as frozensets, whatever iterables they are given as; both
     mappings are stored as read-only copies and left out of the hash, which
     the frozenset fields carry.  Tables derived from the fields are built on
@@ -228,6 +228,10 @@ class ContractSpec:
         if bad:
             message = "conflict must involve exactly two events, got {}"
             raise InvalidSpecError([Diagnostic("bad-conflict", message.format(p)) for p in bad])
+        bad = sorted(p for p, payoff in self.payoffs.items() if not isinstance(payoff, Payoff))
+        if bad:
+            message = "payoff for {!r} is not a recognised reachability payoff"
+            raise InvalidSpecError([Diagnostic("bad-payoff", message.format(p)) for p in bad])
         object.__setattr__(self, "events", frozenset(self.events))
         object.__setattr__(self, "participants", frozenset(self.participants))
         object.__setattr__(self, "clauses", frozenset(self.clauses))
@@ -364,10 +368,6 @@ def validate(spec: ContractSpec) -> list[Diagnostic]:
     for p, payoff in spec.payoffs.items():
         if p not in participants:
             bad((6, p), "unknown-participant", f"payoff for undeclared participant {p!r}")
-        if not isinstance(payoff, (GoalPayoff, OfferRequestPayoff)):
-            message = f"payoff for {p!r} is not a recognised reachability payoff"
-            bad((6, p), "bad-payoff", message)
-            continue
         if isinstance(payoff, OfferRequestPayoff) and not payoff.pairs:
             bad((6, p), "bad-payoff", f"payoff for {p!r} has no offers/requests pair")
         for e in sorted(payoff.events() - events):

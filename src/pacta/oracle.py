@@ -40,7 +40,7 @@ from .logic import HornTheory, Trace
 RULES = ("Id", "ArrowE", "CArrowE")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Derivation:
     """A natural-deduction proof tree.
 
@@ -48,6 +48,8 @@ class Derivation:
     application carries one premise per body atom.  ``assumptions``
     records the hypotheses in scope at this node; the premise of a circular
     clause is derived under the assumptions extended with the clause's head.
+    Trees compare by value on a stack, skipping node pairs identical or
+    compared before (by ``id``); ``hash`` and ``repr`` read one node.
     """
 
     goal: str
@@ -55,6 +57,29 @@ class Derivation:
     assumptions: frozenset[str]
     premises: tuple["Derivation", ...] = ()
     clause: Clause | None = None
+
+    def _own(self) -> tuple:
+        return self.goal, self.rule, self.assumptions, self.clause, len(self.premises)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Derivation):
+            return NotImplemented
+        seen: set[tuple[int, int]] = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b and (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
+                if a._own() != b._own():
+                    return False
+                stack.extend(zip(a.premises, b.premises))
+        return True
+
+    def __hash__(self) -> int:
+        return hash(self._own())
+
+    def __repr__(self) -> str:
+        return f"Derivation({self.goal!r}, {self.rule!r}, {[p.goal for p in self.premises]})"
 
 
 def _clause_order(c: Clause) -> tuple[str, str, list[str]]:

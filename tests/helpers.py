@@ -29,13 +29,14 @@ from pacta import (
     circ,
     std,
 )
+from pacta.game import _rules
 from pacta.model import NAME_RE, RESERVED_WORDS, is_reserved_name
 from pacta.oracle import _bodies_by_head, _final_credits
 
 DATA = Path(__file__).parent / "data"
 
 ATOMS3 = ("a", "b", "c")
-LETTERS = "abcdef"
+LETTERS = "abcdefg"
 
 
 def read(name: str) -> str:
@@ -214,6 +215,37 @@ def prudent_reference(rules, seq):
                 return False
         past.add(e)
     return True
+
+
+def prudent_by_steps(rules, seq):
+    """``RuleIndex.prudent`` as it was before it read the credit intervals:
+    its own walk, each step against its clauses and ``provable()``."""
+    past: set[str] = set()
+    provable: frozenset[str] | None = None
+    for e in seq:
+        if e in past:
+            return False
+        if not any(b <= past for b in rules.std_bodies.get(e, ())):
+            bodies = rules.circ_bodies.get(e, ())
+            if not bodies:
+                return False
+            if provable is None:
+                provable = rules.provable()
+            if not any(b <= provable for b in bodies):
+                return False
+        past.add(e)
+    return True
+
+
+def is_proof_trace_by_prudence(theory: HornTheory, trace) -> bool:
+    """``logic.is_proof_trace`` as it was before it dropped the prudence
+    check: a prudent play (``prudent_by_steps``) with an empty ledger."""
+    seq = tuple(trace)
+    unknown = frozenset(seq) - theory.atoms
+    if unknown:
+        raise PreconditionError(f"unknown atoms: {', '.join(sorted(unknown))}")
+    rules = _rules(theory)
+    return prudent_by_steps(rules, seq) and not rules.unjustified(seq)
 
 
 def next_events_reference(rules, done):

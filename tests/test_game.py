@@ -9,6 +9,7 @@ from pacta import (
     ContractSpec,
     GoalPayoff,
     InvalidPlayError,
+    InvalidSpecError,
     PreconditionError,
     Strategy,
     agreement,
@@ -223,9 +224,8 @@ class TestAgreement:
             agreement(e5())
         with pytest.raises(PreconditionError, match="payoff"):
             agreement(two_party(std("a"), std("b", "a"), payoffs=False))
-        odd = ContractSpec.of(owner={"a": "A"}, payoffs={"A": "always"})
-        with pytest.raises(PreconditionError, match="payoff"):
-            agreement(odd)
+        with pytest.raises(InvalidSpecError, match="payoff"):
+            ContractSpec.of(owner={"a": "A"}, payoffs={"A": "always"})
 
 
 class TestSynthesizeStrategy:

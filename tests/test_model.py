@@ -330,8 +330,23 @@ class TestValidate:
             owner={"a": "A"}, payoffs={"A": GoalPayoff(frozenset({"zz"}))}
         )
         assert "unknown-event" in codes(validate(spec))
-        spec = ContractSpec.of(owner={"a": "A"}, payoffs={"A": "win big"})
-        assert "bad-payoff" in codes(validate(spec))
+
+    def test_a_payoff_of_no_payoff_form_is_refused(self):
+        owner = {"a": "A"}
+        goal = GoalPayoff(frozenset({"a"}))
+        odd = {"Z": "win big", "A": "always", "B": goal}
+        message = "payoff for {!r} is not a recognised reachability payoff"
+        for build in (
+            lambda: ContractSpec(frozenset(owner), {"A", "B"}, owner, {std("a")}, (), odd),
+            lambda: ContractSpec.of(owner, clauses=[std("a")], payoffs=odd),
+            lambda: dataclasses.replace(ContractSpec.of(owner), payoffs=odd),
+        ):
+            with pytest.raises(InvalidSpecError) as err:
+                build()
+            assert [(d.code, d.message) for d in err.value.diagnostics] == [
+                ("bad-payoff", message.format("A")),
+                ("bad-payoff", message.format("Z")),
+            ]
 
     def test_offer_request_payoff_without_pairs_is_a_bad_payoff(self):
         # The DSL has no line for it, so printing would drop the payoff.

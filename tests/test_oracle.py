@@ -197,6 +197,24 @@ class TestNdDerivation:
         foreign_bottom = chain_derivation(5_000, circ("x0"))[1]
         assert not check_derivation(th, foreign_bottom)
 
+    def test_a_deep_chain_compares_hashes_and_prints_without_recursion(self):
+        top = chain_derivation(5_000, std("x0"))[1]
+        with budget(1):
+            assert top == chain_derivation(5_000, std("x0"))[1]
+            assert top != chain_derivation(5_000, circ("x0"))[1]
+        assert hash(top) == hash(chain_derivation(5_000, std("x0"))[1])
+        assert repr(top) == "Derivation('x5000', 'ArrowE', ['x4999'])"
+
+    def test_a_shared_subproof_is_compared_once(self):
+        with budget(1):
+            assert diamond_ladder(40)[1] == diamond_ladder(40)[1]
+        # One node on the left against two different nodes on the right, in
+        # both orders: a pair is keyed by both nodes, not by the left one.
+        a, copy, b = (Derivation(g, "ArrowE", frozenset(), (), std(g)) for g in "aab")
+        shared = Derivation("c", "ArrowE", frozenset(), (a, a), std("c", "a"))
+        for premises in ((copy, b), (b, copy), (copy,)):
+            assert shared != Derivation("c", "ArrowE", frozenset(), premises, std("c", "a"))
+
     def test_a_shared_subproof_is_checked_once(self):
         th, top = diamond_ladder(40)
         with budget(1):

@@ -354,7 +354,8 @@ PARTIES = ("A", "B", "U$P", "", "true")
 
 def hand_built_spec(rng: random.Random) -> ContractSpec | None:
     """A spec from random parts, or ``None`` when a drawn conflict is not
-    two events, after checking that the constructor refuses it."""
+    two events or a drawn payoff is a string, after checking that the
+    constructor refuses it: the conflicts first, then the payoffs."""
     events = rng.sample(NAMES, rng.randint(0, 5))
     participants = rng.sample(PARTIES, rng.randint(0, 3))
     owner = {e: rng.choice(PARTIES) for e in rng.sample(NAMES, rng.randint(0, 5))}
@@ -369,33 +370,43 @@ def hand_built_spec(rng: random.Random) -> ContractSpec | None:
     conflicts = [rng.sample(NAMES, rng.choice((0, 1, 2, 2, 2, 3))) for _ in range(rng.randint(0, 4))]
     payoffs = {}
     for p in rng.sample(PARTIES, rng.randint(0, 3)):
-        form = rng.randrange(3)
-        if form == 0:
+        form = rng.randrange(7)
+        if form < 3:
             payoffs[p] = GoalPayoff(rng.sample(NAMES, rng.randint(0, 3)))
-        elif form == 1:
+        elif form < 5:
             payoffs[p] = OfferRequestPayoff(
                 ((rng.sample(NAMES, 1), rng.sample(NAMES, rng.randint(0, 2))),)
             )
+        elif form == 5:
+            payoffs[p] = OfferRequestPayoff(())
         else:
             payoffs[p] = "goal {a}"
     fields = (events, participants, owner, clauses, conflicts, payoffs)
     non_pairs = sorted(sorted(pair) for pair in set(map(frozenset, conflicts)) if len(pair) != 2)
+    strings = sorted(p for p, payoff in payoffs.items() if isinstance(payoff, str))
     if non_pairs:
-        with pytest.raises(InvalidSpecError) as err:
-            ContractSpec(*fields)
-        assert [(d.code, d.message) for d in err.value.diagnostics] == [
+        want = [
             ("bad-conflict", f"conflict must involve exactly two events, got {pair}")
             for pair in non_pairs
         ]
-        return None
-    return ContractSpec(*fields)
+    elif strings:
+        want = [
+            ("bad-payoff", f"payoff for {p!r} is not a recognised reachability payoff")
+            for p in strings
+        ]
+    else:
+        return ContractSpec(*fields)
+    with pytest.raises(InvalidSpecError) as err:
+        ContractSpec(*fields)
+    assert [(d.code, d.message) for d in err.value.diagnostics] == want
+    return None
 
 
 def test_validate_matches_the_reference_on_hand_built_specs():
     rng = random.Random(31337)
     seen = set()
     refused = 0
-    for _ in range(5_000):
+    for _ in range(6_500):
         spec = hand_built_spec(rng)
         if spec is None:
             refused += 1
@@ -404,12 +415,12 @@ def test_validate_matches_the_reference_on_hand_built_specs():
         assert found == validate_reference(spec), spec
         seen |= {d.code for d in found}
     assert seen == VALIDATE_CODES
-    assert 1_000 < refused < 4_000
+    assert 4_000 < refused < 4_600  # so more than 1,900 specs are built
 
 
 def test_compatible_matches_the_reference_on_hand_built_specs():
     rng = random.Random(16180)
-    for _ in range(5_000):
+    for _ in range(6_500):
         spec = hand_built_spec(rng)
         for _ in range(4):
             done = rng.sample(NAMES, rng.randint(0, 5))
@@ -426,7 +437,7 @@ def play_outcome(check, spec: ContractSpec, play: list[str]):
 
 def test_check_play_matches_the_reference_on_hand_built_specs():
     rng = random.Random(27182)
-    for _ in range(5_000):
+    for _ in range(6_500):
         spec = hand_built_spec(rng)
         play = rng.sample(NAMES, rng.randint(1, len(NAMES)))
         for _ in range(rng.randint(0, 2)):

@@ -6,9 +6,13 @@ provable()``.  On that theorem ``RuleIndex.prudent`` reads circular bodies
 against ``provable()``, ``RuleIndex.next_events`` answers a prudent
 one-event extension of its last question as a delta and reads the clauses
 against ``provable()`` once the index has it, and the strategies synthesized
-for one spec check each play tuple once.  The theorem is checked here on
-seeded random theories and the families, each rewrite against the code it
-replaced (``helpers.prudent_reference``, ``helpers.next_events_reference``)
+for one spec check each play tuple once.  A duplicate-free sequence with an
+empty credit ledger is a prudent play, so ``prudent`` reads only the steps
+that go on credit and ``is_proof_trace`` only the final ledger.  The
+theorem and that lemma are checked here on seeded random theories and the
+families, each rewrite against the code it replaced
+(``helpers.prudent_reference``, ``helpers.prudent_by_steps``,
+``helpers.is_proof_trace_by_prudence``, ``helpers.next_events_reference``)
 and against fresh indexes at every ``simulate`` step, and cost guards pin
 the linear behaviour.
 """
@@ -21,6 +25,7 @@ import pytest
 from pacta import (
     InvalidPlayError,
     Strategy,
+    is_proof_trace,
     is_prudent_play,
     print_spec,
     proof_traces,
@@ -29,13 +34,15 @@ from pacta import (
     synthesize_strategy,
 )
 from pacta.cli import main
-from pacta.game import RuleIndex
+from pacta.game import RuleIndex, _rules
 from pacta.logic import HornTheory
 
 from helpers import (
     budget,
     circular_chain,
+    is_proof_trace_by_prudence,
     next_events_reference,
+    prudent_by_steps,
     prudent_reference,
     random_spec,
     random_theory,
@@ -132,6 +139,47 @@ def test_prudent_equals_the_closure_per_step_reference():
         for seq in (play, play[::-1], play + play[:1], play[1:]):
             assert rules.prudent(seq) == prudent_reference(rules, seq), seq
     assert min(counts.values()) > 2_000, counts
+
+
+def short_sequences(atoms, longest=5):
+    """Every duplicate-free sequence of at most *longest* of *atoms*, and
+    each non-empty one again with its first atom repeated at the end."""
+    for k in range(longest + 1):
+        for seq in itertools.permutations(atoms, k):
+            yield seq
+            if seq:
+                yield seq + seq[:1]
+
+
+def test_prudent_and_is_proof_trace_equal_the_step_loops_they_replaced():
+    """``prudent`` reads the credit intervals and ``is_proof_trace`` the
+    final ledger alone; both are held to the walks they replaced
+    (``helpers.prudent_by_steps``, ``helpers.is_proof_trace_by_prudence``),
+    and every duplicate-free sequence with an empty ledger is prudent."""
+    counts = {"prudent": 0, "imprudent": 0, "trace": 0}
+
+    def check(th, seq):
+        rules = _rules(th)
+        want = prudent_by_steps(rules, seq)
+        assert rules.prudent(seq) == want, (th, seq)
+        trace = is_proof_trace(th, seq)
+        assert trace == is_proof_trace_by_prudence(th, seq), (th, seq)
+        if len(set(seq)) == len(seq) and not rules.unjustified(seq):
+            assert want and trace, (th, seq)
+        counts["prudent" if want else "imprudent"] += 1
+        counts["trace"] += trace
+
+    rng = random.Random(19)
+    for _ in range(80):
+        th = random_theory(rng, min_atoms=3, max_atoms=7)
+        for seq in short_sequences(sorted(th.atoms)):
+            check(th, seq)
+    assert min(counts.values()) > 1_500, counts
+    for clauses, play in family_cases():
+        th = HornTheory.of(clauses, play)
+        half = len(play) // 2
+        for seq in (play, play[::-1], play + play[:1], play[1:], play[:-1], play[half:]):
+            check(th, seq)
 
 
 def test_next_events_equals_the_reference_along_mixed_questions():
