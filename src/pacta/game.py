@@ -21,10 +21,11 @@ agreement check is built on; ``provable`` gets the same set from a single
 moves the credit closure, so every past inside ``provable`` has it as its
 credit closure, and ``next_events`` follows a prudent play by deltas.
 ``_credit_spans`` reads each step's credit interval: ``credits`` sweeps
-them, ``unjustified`` keeps those never closed (the final ledger, deciding
-proof traces in :mod:`pacta.logic`), ``prudent`` checks those on credit
-against ``provable``.  Every query on a spec or theory shares its one index
-(:func:`_rules`).  All operations in this module work on finite plays.
+them, and ``unjustified`` keeps those never closed, the final ledger.  A
+play is a proof trace (:mod:`pacta.logic`) when that ledger is empty and
+prudent when every step in it has a circular body inside ``provable``.
+Every query on a spec or theory shares its one index (:func:`_rules`).  All
+operations in this module work on finite plays.
 """
 
 from __future__ import annotations
@@ -264,22 +265,6 @@ class RuleIndex:
             self._provable = frozenset(self.credit_closure(()))
         return self._provable
 
-    def prudent(self, seq: Sequence[str]) -> bool:
-        """Is every step of *seq* in ``next_events`` of the steps before it?
-
-        A repeated step never is.  Otherwise it is when each step that goes
-        on credit (``_credit_spans``) has a circular body inside
-        ``provable()``, the credit closure of every prefix, by induction (see
-        ``next_events``); only then is ``provable()`` computed.
-        """
-        if len(set(seq)) < len(seq):
-            return False
-        spans = self._credit_spans(seq)
-        if not spans:
-            return True
-        provable, circ = self.provable(), self.circ_bodies
-        return all(any(b <= provable for b in circ.get(e, ())) for e, _, _ in spans)
-
     def unjustified(self, seq: Sequence[str]) -> frozenset[str]:
         """The final credit ledger of the duplicate-free sequence *seq*.
 
@@ -363,9 +348,20 @@ def prudent_events(spec: ContractSpec, done: Iterable[str]) -> frozenset[str]:
 
 
 def is_prudent_play(spec: ContractSpec, play: Sequence[str]) -> bool:
-    """True when every step of *play* is prudent at the moment it is taken."""
+    """True when every step of *play* is prudent at the moment it is taken.
+
+    That is when each step of the final ledger (``unjustified``) has a
+    circular body inside ``provable()``, the credit closure of every prefix
+    of a prudent play (see ``next_events``); granting those steps with
+    ``provable()`` is consistent.  Only a non-empty ledger computes it.
+    """
     _require_conflict_free(spec, "is_prudent_play")
-    return _rules(spec).prudent(check_play(spec, play))
+    rules = _rules(spec)
+    ledger = rules.unjustified(check_play(spec, play))
+    if not ledger:
+        return True
+    provable, circ = rules.provable(), rules.circ_bodies
+    return all(any(b <= provable for b in circ.get(e, ())) for e in ledger)
 
 
 def provable_events(spec: ContractSpec) -> frozenset[str]:
@@ -582,7 +578,6 @@ def simulate(
     play: list[str] = []
     played: set[str] = set()
     streak_start: dict[str, int] = {}
-    step = 0
     while True:
         snapshot = tuple(play)
         offered: set[str] = set()
@@ -602,7 +597,7 @@ def simulate(
             offered |= offers
         streak_start = {e: t for e, t in streak_start.items() if e in offered}
         for e in offered.difference(streak_start):
-            streak_start[e] = step
+            streak_start[e] = len(play)
         if not offered:
             break
         oldest = min(streak_start.values())
@@ -611,7 +606,6 @@ def simulate(
         play.append(chosen)
         played.add(chosen)
         del streak_start[chosen]
-        step += 1
 
     seq = tuple(play)
     return seq, GameVerdict(play=seq, participants=_verdict_rows(spec, seq, spec.participants))

@@ -122,6 +122,8 @@ class Clause(_ClauseFields):
     def __new__(cls, head: str, body: Iterable[str], kind: str = STANDARD) -> "Clause":
         if kind not in (STANDARD, CIRCULAR):
             raise ValueError(f"unknown clause kind: {kind!r}")
+        if isinstance(body, str):  # frozenset would split it into characters
+            raise TypeError(f"body of the clause for {head!r} is a string, not a set of events")
         return tuple.__new__(cls, (head, frozenset(body), kind))
 
     @classmethod
@@ -374,13 +376,6 @@ def validate(spec: ContractSpec) -> list[Diagnostic]:
             bad((6, p), "unknown-event", f"payoff for {p!r} mentions undeclared event {e!r}")
 
     return [d for key in sorted(found) for d in found[key]]
-
-
-def ensure_valid(spec: ContractSpec) -> None:
-    """Raise :class:`InvalidSpecError` if :func:`validate` finds anything."""
-    diags = validate(spec)
-    if diags:
-        raise InvalidSpecError(diags)
 
 
 def check_play(spec: ContractSpec, play: Iterable[str]) -> tuple[str, ...]:

@@ -15,6 +15,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
+import pytest
+
 from pacta import (
     CIRCULAR,
     STANDARD,
@@ -27,6 +29,7 @@ from pacta import (
     OfferRequestPayoff,
     PreconditionError,
     circ,
+    is_prudent_play,
     std,
 )
 from pacta.game import _rules
@@ -199,9 +202,9 @@ def withdrawal_cascade(m):
 
 
 def prudent_reference(rules, seq):
-    """``RuleIndex.prudent`` as it was before it read circular bodies
-    against ``provable()``: a full ``credit_closure`` of the past at every
-    step that only a circular clause can justify."""
+    """The prudence check as it was before it read circular bodies against
+    ``provable()``: a full ``credit_closure`` of the past at every step that
+    only a circular clause can justify."""
     past: set[str] = set()
     for e in seq:
         if e in past:
@@ -218,8 +221,8 @@ def prudent_reference(rules, seq):
 
 
 def prudent_by_steps(rules, seq):
-    """``RuleIndex.prudent`` as it was before it read the credit intervals:
-    its own walk, each step against its clauses and ``provable()``."""
+    """The prudence check as it was before it read the credit ledger: its
+    own walk, each step against its clauses and ``provable()``."""
     past: set[str] = set()
     provable: frozenset[str] | None = None
     for e in seq:
@@ -235,6 +238,18 @@ def prudent_by_steps(rules, seq):
                 return False
         past.add(e)
     return True
+
+
+def assert_prudent_play(spec, seq, want):
+    """``is_prudent_play`` answers *want*, a reference's answer, on a play
+    of *spec*, and refuses a sequence with a repeated or unknown step, on
+    which every reference answers ``False``."""
+    if len(set(seq)) == len(seq) and set(seq) <= spec.events:
+        assert is_prudent_play(spec, seq) == want, (spec, seq)
+    else:
+        assert not want, (spec, seq)
+        with pytest.raises(InvalidPlayError):
+            is_prudent_play(spec, seq)
 
 
 def is_proof_trace_by_prudence(theory: HornTheory, trace) -> bool:

@@ -6,8 +6,8 @@ counting down only the circular bodies that lie inside it.  It is checked
 here against the pass-by-pass fixpoint it replaced
 (``helpers.credit_closure_by_passes``) on seeded random theories, each
 indexed from its clauses in two orders, and at every prefix of the generated
-families; ``prudent``, which asks for the credit closure only for steps no
-standard body justifies, is checked against ``next_events`` step by step;
+families; ``is_prudent_play``, which asks for ``provable()`` only for
+steps left on credit, is checked against ``next_events`` step by step;
 and cost guards pin the linear behaviour and the two shortcuts that change
 no answer: facts are spared by a withdrawal, and a closure that withdraws
 nothing files no bodies.
@@ -27,9 +27,10 @@ from pacta import (
     std,
 )
 from pacta.cli import main
-from pacta.game import RuleIndex
+from pacta.game import RuleIndex, _rules
 
 from helpers import (
+    assert_prudent_play,
     budget,
     circular_chain,
     credit_closure_by_passes,
@@ -161,14 +162,15 @@ def test_prudent_is_next_events_step_by_step_on_random_theories():
     plays = 0
     for _ in range(600):
         th = random_theory(rng, min_atoms=1, max_atoms=5)
-        rules = RuleIndex(th.clauses)
+        spec = spec_of(th)
+        rules = _rules(spec)
         atoms = sorted(th.atoms)
         for k in range(len(atoms) + 1):
             for seq in itertools.permutations(atoms, k):
-                assert rules.prudent(seq) == prudent_by_next_events(rules, seq), (th, seq)
+                assert_prudent_play(spec, seq, prudent_by_next_events(rules, seq))
                 plays += 1
         for seq in ([atoms[0], atoms[0]], atoms + atoms[:1], ["zz"], atoms[:1] + ["zz"]):
-            assert rules.prudent(seq) == prudent_by_next_events(rules, seq), (th, seq)
+            assert_prudent_play(spec, seq, prudent_by_next_events(rules, seq))
     assert plays > 10_000
 
 

@@ -18,7 +18,6 @@ from pacta import (
     check_event_set,
     check_play,
     circ,
-    ensure_valid,
     parse,
     print_spec,
     std,
@@ -48,6 +47,17 @@ class TestClause:
     def test_replace_keeps_the_checks(self):
         c = std("a")._replace(body=["c", "b"])
         assert type(c) is Clause and c == std("a", "b", "c") and type(c.body) is frozenset
+
+    def test_a_string_body_is_refused(self):
+        # frozenset("bc") would be the body {"b", "c"}.
+        for build in (
+            lambda: Clause("a", "bc"),
+            lambda: Clause._make(("a", "bc", STANDARD)),
+            lambda: std("a")._replace(body="bc"),
+        ):
+            with pytest.raises(TypeError, match="'a'"):
+                build()
+        assert std("a", "bc").body == frozenset({"bc"})
 
     def test_helpers_and_repr(self):
         assert std("b", "a") == Clause("b", frozenset({"a"}), STANDARD)
@@ -247,7 +257,6 @@ class TestValidate:
     def test_clean_specs_have_no_findings(self):
         for spec in (c1(), c3(), e5()):
             assert validate(spec) == []
-            ensure_valid(spec)
 
     def test_bad_identifier(self):
         spec = ContractSpec.of(owner={"9a": "A"})
@@ -359,12 +368,6 @@ class TestValidate:
         assert [(d.code, d.message) for d in validate(spec)] == [
             ("bad-payoff", "payoff for 'A' has no offers/requests pair")
         ]
-
-    def test_ensure_valid_raises_with_diagnostics(self):
-        spec = ContractSpec.of(owner={"9a": "A"})
-        with pytest.raises(InvalidSpecError) as err:
-            ensure_valid(spec)
-        assert codes(err.value.diagnostics) == {"bad-identifier"}
 
 
 class TestPlays:

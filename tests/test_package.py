@@ -5,7 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import pacta
-from pacta import game, logic, oracle
+from pacta import game, logic, model, oracle
 
 
 def test_exports_resolve_and_removed_names_are_gone():
@@ -19,6 +19,9 @@ def test_exports_resolve_and_removed_names_are_gone():
         (logic, "reach_atoms"),
         (pacta.ContractSpec, "is_conflict_free"),
         (pacta, "interleave"),
+        (pacta, "ensure_valid"),
+        (model, "ensure_valid"),
+        (game.RuleIndex, "prudent"),
     ):
         assert not hasattr(module, name), name
     assert oracle.RULES == ("Id", "ArrowE", "CArrowE")

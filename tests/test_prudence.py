@@ -2,16 +2,15 @@
 
 If ``e`` is in ``credit_closure(X)``, then ``credit_closure(X ∪ {e})``
 equals it, so every ``X ⊆ provable()`` has ``credit_closure(X) =
-provable()``.  On that theorem ``RuleIndex.prudent`` reads circular bodies
-against ``provable()``, ``RuleIndex.next_events`` answers a prudent
+provable()``.  On that theorem ``RuleIndex.next_events`` answers a prudent
 one-event extension of its last question as a delta and reads the clauses
 against ``provable()`` once the index has it, and the strategies synthesized
-for one spec check each play tuple once.  A duplicate-free sequence with an
-empty credit ledger is a prudent play, so ``prudent`` reads only the steps
-that go on credit and ``is_proof_trace`` only the final ledger.  The
-theorem and that lemma are checked here on seeded random theories and the
-families, each rewrite against the code it replaced
-(``helpers.prudent_reference``, ``helpers.prudent_by_steps``,
+for one spec check each play tuple once.  A play is prudent exactly when
+every step of its final credit ledger has a circular body inside
+``provable()``, so ``is_prudent_play`` reads only that ledger, as
+``is_proof_trace`` does.  The theorem and that lemma are checked here on
+seeded random theories and the families, each rewrite against the code it
+replaced (``helpers.prudent_reference``, ``helpers.prudent_by_steps``,
 ``helpers.is_proof_trace_by_prudence``, ``helpers.next_events_reference``)
 and against fresh indexes at every ``simulate`` step, and cost guards pin
 the linear behaviour.
@@ -31,6 +30,7 @@ from pacta import (
     proof_traces,
     shy_dancers,
     simulate,
+    spec_of,
     synthesize_strategy,
 )
 from pacta.cli import main
@@ -38,6 +38,7 @@ from pacta.game import RuleIndex, _rules
 from pacta.logic import HornTheory
 
 from helpers import (
+    assert_prudent_play,
     budget,
     circular_chain,
     is_proof_trace_by_prudence,
@@ -127,17 +128,19 @@ def test_prudent_equals_the_closure_per_step_reference():
     counts = {True: 0, False: 0}
     for _ in range(3_000):
         th = random_theory(rng, min_atoms=1, max_atoms=6)
-        rules = RuleIndex(th.clauses)
+        spec = spec_of(th)
+        rules = _rules(spec)
         if rng.random() < 0.5:
             rules.provable()
         for seq in random_plays(rng, rules, sorted(th.atoms)):
             want = prudent_reference(rules, seq)
-            assert rules.prudent(seq) == want, (th, seq)
+            assert_prudent_play(spec, seq, want)
             counts[want] += 1
     for clauses, play in family_cases():
-        rules = RuleIndex(clauses)
+        spec = spec_of(HornTheory.of(clauses, play))
+        rules = _rules(spec)
         for seq in (play, play[::-1], play + play[:1], play[1:]):
-            assert rules.prudent(seq) == prudent_reference(rules, seq), seq
+            assert_prudent_play(spec, seq, prudent_reference(rules, seq))
     assert min(counts.values()) > 2_000, counts
 
 
@@ -152,16 +155,16 @@ def short_sequences(atoms, longest=5):
 
 
 def test_prudent_and_is_proof_trace_equal_the_step_loops_they_replaced():
-    """``prudent`` reads the credit intervals and ``is_proof_trace`` the
-    final ledger alone; both are held to the walks they replaced
+    """``is_prudent_play`` and ``is_proof_trace`` read the final ledger
+    alone; both are held to the walks they replaced
     (``helpers.prudent_by_steps``, ``helpers.is_proof_trace_by_prudence``),
     and every duplicate-free sequence with an empty ledger is prudent."""
     counts = {"prudent": 0, "imprudent": 0, "trace": 0}
 
-    def check(th, seq):
+    def check(th, spec, seq):
         rules = _rules(th)
         want = prudent_by_steps(rules, seq)
-        assert rules.prudent(seq) == want, (th, seq)
+        assert_prudent_play(spec, seq, want)
         trace = is_proof_trace(th, seq)
         assert trace == is_proof_trace_by_prudence(th, seq), (th, seq)
         if len(set(seq)) == len(seq) and not rules.unjustified(seq):
@@ -172,14 +175,16 @@ def test_prudent_and_is_proof_trace_equal_the_step_loops_they_replaced():
     rng = random.Random(19)
     for _ in range(80):
         th = random_theory(rng, min_atoms=3, max_atoms=7)
+        spec = spec_of(th)
         for seq in short_sequences(sorted(th.atoms)):
-            check(th, seq)
+            check(th, spec, seq)
     assert min(counts.values()) > 1_500, counts
     for clauses, play in family_cases():
         th = HornTheory.of(clauses, play)
+        spec = spec_of(th)
         half = len(play) // 2
         for seq in (play, play[::-1], play + play[:1], play[1:], play[:-1], play[half:]):
-            check(th, seq)
+            check(th, spec, seq)
 
 
 def test_next_events_equals_the_reference_along_mixed_questions():
@@ -239,6 +244,8 @@ def test_a_prudent_walk_costs_one_closure(monkeypatch):
     calls.clear()
     spec, x = circular_chain(300)
     assert is_prudent_play(spec, x)
+    assert calls == []
+    assert is_prudent_play(spec, x[:-1]) and _rules(spec).unjustified(x[:-1]) == {"x299"}
     assert calls == [frozenset()]
 
     calls.clear()

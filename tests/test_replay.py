@@ -44,6 +44,7 @@ from helpers import (
     c3,
     circular_chain,
     delta3,
+    prudent_by_steps,
     random_spec,
     random_theory,
     star_spec,
@@ -250,7 +251,7 @@ def test_queries_during_a_suspended_trace_walk_share_its_index():
                 seq = rng.choice(sorted(traces))
             else:
                 seq = tuple(rng.sample(atoms, rng.randint(0, len(atoms))))
-            want = fresh.prudent(seq) and not fresh.unjustified(seq)
+            want = prudent_by_steps(fresh, seq) and not fresh.unjustified(seq)
             assert is_proof_trace(theory, seq) == want == (seq in traces), (theory, seq)
         assert provable_atoms(theory) == fresh.provable() == frozenset().union(*traces)
         walked += walk
