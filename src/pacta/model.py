@@ -147,6 +147,12 @@ def circ(head: str, *body: str) -> Clause:
     return Clause(head, frozenset(body), CIRCULAR)
 
 
+def _event_set(events: Iterable[str], what: str) -> frozenset[str]:
+    if isinstance(events, str):  # frozenset would split it into characters
+        raise TypeError(f"{what} is a string, not a set of events")
+    return frozenset(events)
+
+
 @dataclass(frozen=True)
 class GoalPayoff:
     """Participant is satisfied once every goal event has happened."""
@@ -154,7 +160,7 @@ class GoalPayoff:
     goal: frozenset[str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "goal", frozenset(self.goal))
+        object.__setattr__(self, "goal", _event_set(self.goal, "the goal"))
 
     def holds(self, done: frozenset[str]) -> bool:
         return self.goal <= done
@@ -180,7 +186,9 @@ class OfferRequestPayoff:
         # are dropped in input order, so pairs that come sorted (a printed
         # file, or another payoff's pairs) sort in one linear pass.  A set
         # in many pairs (a request equal to its offer, say) is sorted once.
-        pairs = dict.fromkeys((frozenset(o), frozenset(r)) for o, r in self.pairs)
+        pairs = dict.fromkeys(
+            (_event_set(o, "an offer"), _event_set(r, "a request")) for o, r in self.pairs
+        )
         key = {s: sorted(s) for s in set(chain.from_iterable(pairs))}
         canon = sorted(pairs, key=lambda pr: (key[pr[0]], key[pr[1]]))
         object.__setattr__(self, "pairs", tuple(canon))

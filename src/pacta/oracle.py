@@ -8,18 +8,22 @@ These are the arbiters the fast algorithms in :mod:`pacta.game` and
   premise of a circular implication);
 * :func:`traces_bruteforce` — the trace semantics computed by naive
   saturation straight from the interleaving definition;
-* :func:`prudence_bruteforce` — prudence read off the full game tree: an
-  event is prudent when, against arbitrary opponent behaviour, its owner can
-  always bring its credits back without relying on anyone else.
+* :func:`prudence_bruteforce` — prudence read off the game tree below the
+  play: an event is prudent when, against arbitrary opponent behaviour, its
+  owner can always bring its credits back without relying on anyone else.
 
 All three are exponential and raise :class:`~pacta.model.PreconditionError`
 before any search on inputs past their size guards: 12 atoms for the
 natural-deduction search (:func:`nd_provable`, :func:`nd_derivation`),
 8 atoms for :func:`traces_bruteforce`, 6 events for :func:`prudence_table`
 and :func:`prudence_bruteforce`.  They exist to be obviously correct, not
-fast.  :func:`prudence_table` alone shares work between the plays of its
-tree, in three ways its docstring argues leave the table unchanged; the
-tests also hold it to the plainer version it replaced, play by play.
+fast.  The prudence referee alone shares work: it solves the game tree's
+quotient by "same event set, same final ledger", whose classes have
+matching subtrees, so no entry changes (the argument is in
+:func:`prudence_table`); :func:`prudence_bruteforce` solves only the states
+below its play, which is exact because an entry reads nothing outside its
+play's subtree.  The tests also hold the table to a play-by-play version
+it replaced, and the lookup to the table.
 """
 
 from __future__ import annotations
@@ -259,19 +263,6 @@ def _bodies_by_head(spec: ContractSpec) -> tuple[Bodies, Bodies]:
     return by_kind[STANDARD], by_kind[CIRCULAR]
 
 
-@dataclass
-class _EventSet:
-    """What :func:`prudence_table` needs to know about one set of done
-    events, whatever order they were done in: the events fireable next, the
-    atoms a circular body inside the set justifies (as a mask), and one step
-    per fireable event ``e`` — ``(e, owner of e, the grown set's record, the
-    mask of e, or 0 when a standard body inside this set justifies e)``."""
-
-    fireable: frozenset[str]
-    circ_justified: int
-    steps: list[tuple[str, str, "_EventSet", int]]
-
-
 def _final_credits(
     spec: ContractSpec,
     seq: tuple[str, ...],
@@ -294,6 +285,108 @@ def _final_credits(
     return frozenset(pending)
 
 
+# A state of the game: a set of done events and the final ledger of every
+# play that reaches it, as a bit mask over the sorted events.
+State = tuple[frozenset[str], int]
+Steps = dict[str, tuple[str, State]]  # fireable event -> (its owner, next state)
+
+
+class _Game:
+    """The states of one spec's game, each with its steps, found on demand.
+
+    What depends only on an event set is computed once per set: for each
+    fireable event ``e``, its owner, the grown set, the mask of ``e`` (0 when
+    a standard body inside the set justifies ``e``) and the mask of the atoms
+    a circular body inside the grown set justifies."""
+
+    root: State = (frozenset(), 0)  # the empty play's
+
+    def __init__(self, spec: ContractSpec):
+        if len(spec.events) > 6:
+            raise PreconditionError("prudence_table supports at most 6 events")
+        self.spec = spec
+        self.events = sorted(spec.events)
+        self.bit = {e: 1 << i for i, e in enumerate(self.events)}
+        self.owned = {a: spec.owned_by(a) for a in spec.participants}
+        self.owned_mask = {a: sum(map(self.bit.get, self.owned[a])) for a in spec.participants}
+        self.rules: dict[str, list[tuple[frozenset[str], int]]] = {STANDARD: [], CIRCULAR: []}
+        for head, body, kind in spec.clauses:
+            self.rules[kind].append((body, self.bit[head]))
+        self.by_set: dict[frozenset[str], list[tuple[str, str, frozenset[str], int, int]]] = {}
+        self.by_state: dict[State, Steps] = {}
+
+    def justified(self, kind: str, done: frozenset[str]) -> int:
+        """The mask of the heads of the *kind* clauses with a body inside *done*."""
+        found = 0
+        for body, head in self.rules[kind]:
+            if body <= done:
+                found |= head
+        return found
+
+    def steps(self, state: State) -> Steps:
+        known = self.by_state.get(state)
+        if known is None:
+            done, ledger = state
+            if done not in self.by_set:
+                spec = self.spec
+                std = self.justified(STANDARD, done)
+                self.by_set[done] = [
+                    (e, spec.owner[e], grown, self.bit[e] & ~std, self.justified(CIRCULAR, grown))
+                    for e in self.events
+                    if e not in done and spec.compatible(grown := done | {e})
+                ]
+            known = self.by_state[state] = {
+                e: (actor, (grown, (ledger | joins) & ~circ))
+                for e, actor, grown, joins, circ in self.by_set[done]
+            }
+        return known
+
+    def solve(self, start: State) -> dict[State, frozenset[str]]:
+        """The prudent events at *start* and at every state below it."""
+        below = {start: self.steps(start)}
+        todo = [start]
+        while todo:
+            for _, child in below[todo.pop()].values():
+                if child not in below:
+                    below[child] = self.steps(child)
+                    todo.append(child)
+        table = {state: frozenset(moves) for state, moves in below.items()}
+        owned = self.owned
+        memo: dict[tuple[State, str, int], bool] = {}
+
+        def safe(state: State, actor: str, exposed: int) -> bool:
+            # Reached only while no state from the entry down to this one's
+            # parent has recovered; once one has, every continuation is safe.
+            if not state[1] & exposed:
+                return True
+            key = (state, actor, exposed)
+            if key not in memo:
+                moves = below[state].values()
+                memo[key] = all(
+                    safe(child, actor, exposed) for who, child in moves if who != actor
+                ) and (
+                    # The others are done, and a fair stop here would leave the
+                    # actor exposed: it must keep the play alive safely alone.
+                    not table[state] <= owned[actor]
+                    or any(safe(child, actor, exposed) for who, child in moves if who == actor)
+                )
+            return memo[key]
+
+        while True:
+            memo.clear()
+            dropped = []
+            for state, moves in below.items():
+                for e in table[state]:
+                    actor, child = moves[e]
+                    # A play recovers when its ledger holds none of these.
+                    if not safe(child, actor, self.owned_mask[actor] & ~state[1]):
+                        dropped.append((state, e))
+            if not dropped:
+                return table
+            for state, e in dropped:
+                table[state] -= {e}
+
+
 def prudence_table(
     spec: ContractSpec,
 ) -> dict[tuple[str, ...], frozenset[str]]:
@@ -311,141 +404,45 @@ def prudence_table(
     the result is the greatest table for which the definition holds.
     Conflicts are fully supported.  Guarded at 6 events.
 
-    Work is shared three ways, and none changes what is computed:
+    The game is solved on states, not plays, and that changes no entry.  A
+    state is a play's event set and its final ledger, what
+    :func:`_final_credits` returns for it.  Two plays with the same state
+    have the same fireable events, and their children's ledgers agree: the
+    new event joins the ledger unless a standard body done before it
+    justifies it, then whatever a circular body inside the grown set
+    justifies leaves it (an earlier event's past is fixed, and circular
+    justification only grows with the set).  So their subtrees match move
+    for move and ledger for ledger, the relation "same state" is a
+    bisimulation, and the greatest table gives both plays the same entries.
+    At most 3^6 states stand for up to 1,957 plays.
 
-    * What depends only on a play's event set is computed once per set (at
-      most 64 sets against up to 1,957 plays): the fireable next events, and
-      the atoms a standard body or a circular body inside the set justifies
-      (see :class:`_EventSet`).
-    * A play's final ledger, what :func:`_final_credits` returns for it,
-      grows from its parent's: the new event joins it unless a standard body
-      done before it justifies it, then whatever a circular body inside the
-      grown set justifies leaves it.  Nothing else moves: an earlier event's
-      past is fixed, and circular justification only grows with the set.
-    * Judging starts from "every fireable event is prudent" and prunes in
-      passes until a pass drops nothing.  Pruning is monotone (fewer prudent
-      events make more stops fair, which can only prune further), so the
-      passes land on the greatest table whichever entries each one judges,
-      as long as no entry left at the end fails.  An entry ``(p, e)`` reads
-      the table only through "the others are done at ``q``" for
-      ``owner[e]``, where ``q`` is ``p + (e,)`` or extends it, and as the
-      table shrinks that test can only flip from false to true.  So a pass
-      judges again only the entries on the path to a play whose entry has
-      just flipped the test for their owner; every other entry would read
-      what it read before.  With one owner the test never flips, and one
-      pass settles the table.
+    Judging starts from "every fireable event is prudent" and drops, pass
+    by pass, every entry that fails against the current table, until a
+    pass drops nothing.  Dropping is monotone (fewer prudent events make
+    more stops fair, which can only drop more), so the passes land on the
+    greatest table.  Within a pass the table is fixed, and whether a state
+    is safe for an actor with a given exposed mask is worked out once.
     """
-    if len(spec.events) > 6:
-        raise PreconditionError("prudence_table supports at most 6 events")
-    events = sorted(spec.events)
-    owner = spec.owner
-    std_rules = [(body, head) for head, body, kind in spec.clauses if kind == STANDARD]
-    circ_rules = [(body, head) for head, body, kind in spec.clauses if kind == CIRCULAR]
-
-    # Ledgers are bit masks over the sorted events: each play builds one.
-    bit = {e: 1 << i for i, e in enumerate(events)}
-
-    def mask(atoms) -> int:
-        return sum(bit[a] for a in set(atoms))
-
-    by_set: dict[frozenset[str], _EventSet] = {}
-
-    def event_set(done: frozenset[str]) -> _EventSet:
-        known = by_set.get(done)
-        if known is None:
-            fireable = [
-                e for e in events if e not in done and spec.compatible(done | {e})
-            ]
-            known = by_set[done] = _EventSet(
-                frozenset(fireable),
-                mask(h for b, h in circ_rules if b <= done),
-                [],
-            )
-            std_justified = {h for b, h in std_rules if b <= done}
-            known.steps.extend(
-                (
-                    e,
-                    owner[e],
-                    event_set(done | {e}),
-                    0 if e in std_justified else bit[e],
-                )
-                for e in fireable
-            )
-        return known
-
-    # The game tree in preorder; node 0 is the empty play.  A node other
-    # than the root also names the entry (parent's play, its last event).
-    plays: list[tuple[str, ...]] = [()]
-    parent = [0]
-    mover = [""]  # owner of the node's last event
-    gamma = [0]  # the play's final ledger, as a mask
-    table: list[frozenset[str]] = []  # prudent events, first all fireable
-    kids: list[dict[str, list[int]]] = [{}]  # children, by their mover
-
-    def grow(node: int, here: _EventSet) -> None:
-        table.append(here.fireable)
-        for e, actor, there, joins in here.steps:
-            child = len(plays)
-            plays.append(plays[node] + (e,))
-            parent.append(node)
-            mover.append(actor)
-            gamma.append((gamma[node] | joins) & ~there.circ_justified)
-            kids[node].setdefault(actor, []).append(child)
-            kids.append({})
-            grow(child, there)
-
-    grow(0, event_set(frozenset()))
-
-    owned = {a: spec.owned_by(a) for a in spec.participants}
-    owned_mask = {a: mask(owned[a]) for a in spec.participants}
-    actors = {owner[e] for e in events}
-
-    def prudent(entry: int) -> bool:
-        actor = mover[entry]
-        mine = owned[actor]
-        # A play recovers when its ledger holds none of these.
-        exposed = owned_mask[actor] & ~gamma[parent[entry]]
-
-        def safe(node: int) -> bool:
-            # Reached only while no play from the entry down to the parent
-            # has recovered; once one has, every continuation is safe.
-            if not gamma[node] & exposed:
-                return True
-            moves = kids[node]
-            for other, theirs in moves.items():
-                if other != actor and not all(map(safe, theirs)):
-                    return False
-            if table[node] <= mine:
-                # The others are done, and a fair stop here would leave the
-                # actor exposed: it must keep the play alive safely alone.
-                return any(map(safe, moves.get(actor, ())))
-            return True
-
-        return safe(entry)
-
-    judge = range(1, len(plays))
-    while judge:
-        dropped = [n for n in judge if not prudent(n)]
-        before = {parent[n]: table[parent[n]] for n in dropped}
-        for n in dropped:
-            table[parent[n]] -= {plays[n][-1]}
-        again: set[int] = set()
-        for q, old in before.items():
-            new = table[q]
-            flipped = {a for a in actors if new <= owned[a] and not old <= owned[a]}
-            node = q
-            while flipped and node:
-                if mover[node] in flipped and plays[node][-1] in table[parent[node]]:
-                    again.add(node)
-                node = parent[node]
-        judge = sorted(again)
-
-    return {plays[n]: table[n] for n in range(len(plays))}
+    game = _Game(spec)
+    table = game.solve(game.root)
+    plays = [((), game.root)]
+    for play, state in plays:
+        plays.extend((play + (e,), child) for e, (_, child) in game.by_state[state].items())
+    return {play: table[state] for play, state in plays}
 
 
 def prudence_bruteforce(
     spec: ContractSpec, play: tuple[str, ...] | list[str]
 ) -> frozenset[str]:
-    """Prudent events right after *play*, from the game tree (≤ 6 events)."""
+    """Prudent events right after *play*, from the game below it (≤ 6 events).
+
+    Solving only the states below the play's own state is exact: an entry
+    reads ledgers, moves and the table only at states its play reaches, so
+    the greatest table restricted to those states is the greatest table of
+    the game below them."""
     seq = check_play(spec, play)
-    return prudence_table(spec)[seq]
+    game = _Game(spec)
+    state = game.root
+    for e in seq:
+        state = game.steps(state)[e][1]
+    return game.solve(state)[state]

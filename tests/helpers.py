@@ -299,11 +299,10 @@ def credit_closure_by_passes(rules, done):
 def prudence_table_reference(
     spec: ContractSpec,
 ) -> dict[tuple[str, ...], frozenset[str]]:
-    """``oracle.prudence_table`` as it was before it computed each event
-    set's facts once, grew ledgers along the tree and re-judged only the
-    entries a pass can change: every play's ledger from ``_final_credits``
-    and every entry judged again on every pass.  The reference
-    ``prudence_table`` is checked against."""
+    """``oracle.prudence_table`` as it was before it shared work between
+    plays: one node per play, every play's ledger from ``_final_credits``
+    and every entry of every play judged again on every pass.  The
+    reference ``prudence_table`` is checked against."""
     if len(spec.events) > 6:
         raise PreconditionError("prudence_table supports at most 6 events")
     events = sorted(spec.events)

@@ -115,6 +115,11 @@ class TestPayoffs:
         assert type(p.goal) is frozenset
         assert hash(p) == hash(GoalPayoff(frozenset({"b", "a"})))
 
+    def test_a_string_goal_is_refused(self):
+        # frozenset("ab") would be the goal {"a", "b"}.
+        with pytest.raises(TypeError, match="goal"):
+            GoalPayoff("ab")
+
     def test_empty_goal_always_holds(self):
         assert GoalPayoff(frozenset()).holds(frozenset())
 
@@ -136,6 +141,13 @@ class TestPayoffs:
 
     def test_offer_request_without_pairs_never_holds(self):
         assert not OfferRequestPayoff(()).holds(frozenset({"a"}))
+
+    def test_a_string_offer_or_request_is_refused(self):
+        fs = frozenset
+        with pytest.raises(TypeError, match="offer"):
+            OfferRequestPayoff((("ab", fs("c")),))
+        with pytest.raises(TypeError, match="request"):
+            OfferRequestPayoff(((fs("a"), fs("b")), (fs("c"), "de")))
 
     def test_pairs_are_canonicalized(self):
         fs = frozenset

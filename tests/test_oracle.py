@@ -298,12 +298,23 @@ class TestPrudenceTable:
         }
 
     def test_bruteforce_lookup_matches_the_table(self):
-        spec = e5()
-        table = prudence_table(spec)
-        for play in all_plays(spec):
-            assert prudence_bruteforce(spec, play) == table[play]
+        # The lookup solves only the states below its play, the table every
+        # state from the empty play: they must agree on every play.
+        rng = random.Random(2121)
+        multi = [random_spec(rng, max_events=6, allow_conflicts=True) for _ in range(40)]
+        single = [spec_of(random_theory(rng, 3, 6)) for _ in range(12)]
+        assert any(s.conflicts for s in multi)
+        assert any(len(s.participants) == 3 for s in multi)
+        assert any(len(s.events) == 6 for s in multi) and any(len(s.events) == 6 for s in single)
+        for spec in [e5()] + multi + single:
+            table = prudence_table(spec)
+            for play in all_plays(spec):
+                assert prudence_bruteforce(spec, play) == table[play], (spec, play)
+            first = sorted(spec.events)[0]
+            with pytest.raises(InvalidPlayError):
+                prudence_bruteforce(spec, (first, first))
         with pytest.raises(InvalidPlayError):
-            prudence_bruteforce(spec, ("b", "c"))
+            prudence_bruteforce(e5(), ("b", "c"))
 
     def test_agrees_with_the_fast_path_on_random_conflict_free_specs(self):
         rng = random.Random(77)
