@@ -210,15 +210,15 @@ class RuleIndex:
 
         So the answer is found, cheapest first: the last answer again, for
         the same *done* (tested by identity before equality; in ``simulate``
-        every strategy synthesized for one spec asks once per step with one
-        shared set); a delta, when *done* adds one event of the last answer
-        to its key: that answer, minus the event, plus the heads of the
-        standard clauses the event completes; the clauses read against
-        ``provable()``, when the index has already computed it and *done*
-        lies inside it; and only otherwise a full ``credit_closure``.  A
-        one-shot query never computes ``provable()`` to test the third.  The
-        key and the answer are stored as one tuple, so concurrent callers
-        can at worst compute again.
+        every strategy synthesized for the spec asks once per step, with the
+        event set of the step's ``_Play``); a delta, when *done* adds one
+        event of the last answer to its key: that answer, minus the event,
+        plus the heads of the standard clauses the event completes; the
+        clauses read against ``provable()``, when the index has already
+        computed it and *done* lies inside it; and only otherwise a full
+        ``credit_closure``.  A one-shot query never computes ``provable()``
+        to test the third.  The key and the answer are stored as one tuple,
+        so concurrent callers can at worst compute again.
         """
         done = frozenset(done)
         last = self._last_next
@@ -309,7 +309,8 @@ def _rules(value: ContractSpec | HornTheory) -> RuleIndex:
     """The one ``RuleIndex`` of a spec or theory value, built on first use
     and kept in the value's instance ``__dict__``, so that all queries on
     one value, and all strategies synthesized for a spec, share its tables
-    and its ``next_events`` memo.
+    and its ``next_events`` memo.  At a ``simulate`` step those strategies
+    ask the memo about one shared set, the one the step's ``_Play`` carries.
 
     The index reads only ``clauses``, which both frozen dataclasses store as
     a frozenset, so it can never go stale, and it lives and dies with the
@@ -518,30 +519,25 @@ def synthesize_strategy(spec: ContractSpec, participant: str) -> Strategy:
     owned = spec.owned_by(participant)
 
     def choose(play: tuple[str, ...]) -> frozenset[str]:
-        return rules.next_events(_checked_events(spec, play)) & owned
+        if type(play) is _Play and play.spec is spec:
+            done = play.events  # simulate checked it and shares the set
+        else:
+            done = frozenset(check_play(spec, play))
+        return rules.next_events(done) & owned
 
     return Strategy(participant=participant, choose=choose)
 
 
-def _checked_events(spec: ContractSpec, play: Sequence[str]) -> frozenset[str]:
-    """The events of *play*, which ``check_play`` validates once per tuple.
+class _Play(tuple):
+    """The play at one ``simulate`` step, a tuple that also carries the spec
+    it is a valid play of and its event set.  The strategies synthesized for
+    that spec value read the set instead of checking the play, so they all
+    hand ``next_events`` the same set, which its memo finds by identity."""
 
-    The strategies synthesized for one spec are asked about the same tuple
-    at each ``simulate`` step, so only the first of them checks it and
-    builds the set; the rest find the tuple, by identity, in the memo kept
-    in the spec's instance ``__dict__``.  The memo holds the tuple, so its
-    identity cannot pass to another object while it is there; a play that
-    is not a tuple, or not the one remembered, is checked in full.  The
-    strategies then hand ``next_events`` one shared set, which its memo also
-    finds by identity.
-    """
-    last = spec.__dict__.get("_last_play")
-    if last is not None and last[0] is play:
-        return last[1]
-    done = frozenset(check_play(spec, play))
-    if type(play) is tuple:
-        spec.__dict__["_last_play"] = (play, done)
-    return done
+    def __new__(cls, moves: Iterable[str], spec: ContractSpec, events: frozenset[str]):
+        play = tuple.__new__(cls, moves)
+        play.spec, play.events = spec, events
+        return play
 
 
 def simulate(
@@ -553,9 +549,9 @@ def simulate(
 
     Exactly one strategy per participant is required.  At every step each
     strategy, in participant order, is asked for offers about one shared
-    tuple of the play so far (offers must be owned and fresh; the spec is
-    conflict-free, so a fresh event is always playable);
-    the scheduler fires the event whose uninterrupted offer streak started
+    tuple of the play so far, a ``_Play`` (offers must be owned and fresh;
+    the spec is conflict-free, so a fresh event is always playable); the
+    scheduler fires the event whose uninterrupted offer streak started
     earliest, breaking ties uniformly at random with the given seed.  The loop
     stops when nobody offers, which makes the resulting finite play fair with
     respect to all the strategies.
@@ -576,20 +572,20 @@ def simulate(
     # Each participant with the events it may offer: owned and declared.
     in_order = [(p, by_part[p], spec.owned_by(p) & spec.events) for p in sorted(by_part)]
     play: list[str] = []
-    played: set[str] = set()
     streak_start: dict[str, int] = {}
     while True:
-        snapshot = tuple(play)
+        done = frozenset(play)
+        snapshot = _Play(play, spec, done)
         offered: set[str] = set()
         for p, strat, mine in in_order:
             offers = strat.offers(snapshot)
-            if not (offers <= mine and played.isdisjoint(offers)):
+            if not (offers <= mine and done.isdisjoint(offers)):
                 for e in sorted(offers):  # name the first bad offer
                     if e not in mine:
                         raise InvalidPlayError(
                             f"strategy for {p!r} offered {e!r}, which it does not own"
                         )
-                    if e in played:
+                    if e in done:
                         raise InvalidPlayError(
                             f"strategy for {p!r} offered unplayable {e!r} after "
                             f"<{','.join(snapshot) or 'empty'}>"
@@ -604,7 +600,6 @@ def simulate(
         candidates = sorted(e for e, t in streak_start.items() if t == oldest)
         chosen = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
         play.append(chosen)
-        played.add(chosen)
         del streak_start[chosen]
 
     seq = tuple(play)

@@ -43,7 +43,11 @@ from .model import (
     STANDARD,
     Clause,
     ContractSpec,
+    Diagnostic,
+    InvalidSpecError,
     PreconditionError,
+    _clause_key,
+    _event_set,
     is_reserved_name,
 )
 
@@ -52,14 +56,28 @@ Trace = tuple[str, ...]
 
 @dataclass(frozen=True)
 class HornTheory:
-    """An immutable Horn theory; hashable, so it can key caches in tests."""
+    """An immutable Horn theory; hashable, so it can key caches in tests.
+
+    Every clause speaks of atoms of the theory: any other is refused with an
+    :class:`InvalidSpecError` carrying one ``unknown-event`` diagnostic per
+    such clause, as :class:`ContractSpec` refuses a bad conflict.
+    """
 
     atoms: frozenset[str]
     clauses: frozenset[Clause]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", frozenset(self.atoms))
-        object.__setattr__(self, "clauses", frozenset(self.clauses))
+        atoms, clauses = frozenset(self.atoms), frozenset(self.clauses)
+        bad = [c for c in clauses if c[0] not in atoms or not c[1] <= atoms]
+        if bad:
+            message = "clause for {!r} names atoms outside the theory: {}"
+            found = []
+            for head, body, _ in sorted(bad, key=_clause_key):
+                outside = ", ".join(sorted((body | {head}) - atoms))
+                found.append(Diagnostic("unknown-event", message.format(head, outside)))
+            raise InvalidSpecError(found)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "clauses", clauses)
 
     @classmethod
     def of(cls, clauses: Iterable[Clause], atoms: Iterable[str] = ()) -> "HornTheory":
@@ -76,7 +94,10 @@ class HornTheory:
 
 
 def theory_of(spec: ContractSpec) -> HornTheory:
-    """View a conflict-free contract as a Horn theory (owners are dropped)."""
+    """View a conflict-free contract as a Horn theory (owners are dropped).
+
+    A clause that names an undeclared event is refused, as ``HornTheory``
+    refuses one that names an atom outside the theory."""
     if spec.conflicts:
         raise PreconditionError(
             "only conflict-free specifications have a Horn theory reading"
@@ -157,7 +178,10 @@ def proof_traces(theory: HornTheory, max_count: int | None = None) -> frozenset[
 
 def is_proof_trace(theory: HornTheory, trace: Sequence[str]) -> bool:
     """Membership in the trace set: *trace* repeats no atom and leaves an
-    empty credit ledger.  Unknown atoms are a precondition error."""
+    empty credit ledger.  Unknown atoms are a precondition error, and a
+    string a ``TypeError``."""
+    if isinstance(trace, str):  # tuple would split it into characters
+        raise TypeError("the trace is a string, not a sequence of atoms")
     seq = tuple(trace)
     atoms = frozenset(seq)
     unknown = atoms - theory.atoms
@@ -228,7 +252,7 @@ def urgent_atoms(theory: HornTheory, done: Iterable[str]) -> frozenset[str]:
     :func:`encode_urgency` makes provable once the past is marked done;
     ``test_c07``/``test_c08`` hold the encoding to it.
     """
-    performed = frozenset(done)
+    performed = _event_set(done, "the past")
     unknown = performed - theory.atoms
     if unknown:
         raise PreconditionError(f"unknown atoms: {', '.join(sorted(unknown))}")

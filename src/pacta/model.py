@@ -395,8 +395,11 @@ def check_play(spec: ContractSpec, play: Iterable[str]) -> tuple[str, ...]:
 
     A valid play is accepted by whole-set checks.  An invalid one is walked
     once, to its first unknown or repeated event or its first event in
-    conflict with an earlier one, and that position is named.
+    conflict with an earlier one, and that position is named.  A string is
+    refused with a ``TypeError``: ``tuple`` would split it into characters.
     """
+    if isinstance(play, str):
+        raise TypeError("the play is a string, not a sequence of events")
     seq = tuple(play)
     whole = frozenset(seq)
     if len(whole) == len(seq) and whole <= spec.events and spec.compatible(whole):
@@ -416,7 +419,7 @@ def check_play(spec: ContractSpec, play: Iterable[str]) -> tuple[str, ...]:
 
 def check_event_set(spec: ContractSpec, events: Iterable[str]) -> frozenset[str]:
     """Validate *events* as a conflict-free subset of the contract's events."""
-    X = frozenset(events)
+    X = _event_set(events, "the event set")
     unknown = X - spec.events
     if unknown:
         raise PreconditionError(f"unknown events: {', '.join(sorted(unknown))}")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from pacta import (
@@ -5,6 +7,7 @@ from pacta import (
     STANDARD,
     Clause,
     HornTheory,
+    InvalidSpecError,
     PreconditionError,
     circ,
     encode_urgency,
@@ -43,6 +46,20 @@ class TestHornTheory:
         assert th == HornTheory.of([std("b", "a")])
         assert hash(th) == hash(HornTheory.of([std("b", "a")]))
         assert provable_atoms(th) == frozenset()
+
+    def test_clauses_outside_the_atoms_are_refused(self):
+        # Before the check, provable_atoms answered {a, b} for this theory
+        # while is_proof_trace refused b as unknown.
+        with pytest.raises(InvalidSpecError) as err:
+            HornTheory(atoms={"a"}, clauses={std("a"), std("b", "a"), circ("a", "c", "d")})
+        assert [(d.code, d.message) for d in err.value.diagnostics] == [
+            ("unknown-event", "clause for 'a' names atoms outside the theory: c, d"),
+            ("unknown-event", "clause for 'b' names atoms outside the theory: b"),
+        ]
+        assert HornTheory(atoms={"a", "b"}, clauses={std("a"), std("b", "a")}).atoms == {"a", "b"}
+        bad_spec = dataclasses.replace(c3(), clauses=c3().clauses | {std("a", "zz")})
+        with pytest.raises(InvalidSpecError, match="'a' names atoms outside the theory: zz"):
+            theory_of(bad_spec)
 
     def test_theory_of_drops_owners(self):
         th = theory_of(c3())
@@ -124,6 +141,11 @@ class TestProofTraces:
         with pytest.raises(PreconditionError, match="unknown"):
             is_proof_trace(delta3(), ("a", "zz"))
 
+    def test_is_proof_trace_refuses_a_string(self):
+        # tuple("ab") is ("a", "b"), a proof trace of delta3.
+        with pytest.raises(TypeError, match="string"):
+            is_proof_trace(delta3(), "ab")
+
     def test_iteration_is_shortlex(self):
         assert list(iter_proof_traces(delta4())) == [(), ("a", "b"), ("b", "a")]
 
@@ -191,6 +213,10 @@ class TestUrgencyEncoding:
     def test_urgent_atoms_rejects_unknown_atoms(self):
         with pytest.raises(PreconditionError, match="unknown"):
             urgent_atoms(delta1(), ("zz",))
+
+    def test_urgent_atoms_refuses_a_string(self):
+        with pytest.raises(TypeError, match="string"):
+            urgent_atoms(delta3(), "a")
 
     def test_reach_atoms(self):
         # The reachable atoms are the provable ones, and the R$ tags mark them.

@@ -423,6 +423,15 @@ class TestPlays:
         with pytest.raises(PreconditionError, match="conflicting"):
             check_event_set(e5(), ["b", "c"])
 
+    def test_a_string_play_is_refused(self):
+        # tuple("ab") is ("a", "b"), a play of c1's two events.
+        with pytest.raises(TypeError, match="string"):
+            check_play(c1(), "ab")
+
+    def test_a_string_event_set_is_refused(self):
+        with pytest.raises(TypeError, match="string"):
+            check_event_set(e5(), "ab")
+
 
 def test_strategy_offers_coerces_to_frozenset():
     strat = Strategy("A", lambda play: {"a"} if not play else set())

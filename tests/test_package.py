@@ -22,6 +22,7 @@ def test_exports_resolve_and_removed_names_are_gone():
         (pacta, "ensure_valid"),
         (model, "ensure_valid"),
         (game.RuleIndex, "prudent"),
+        (game, "_checked_events"),
     ):
         assert not hasattr(module, name), name
     assert oracle.RULES == ("Id", "ArrowE", "CArrowE")

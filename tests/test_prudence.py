@@ -4,11 +4,11 @@ If ``e`` is in ``credit_closure(X)``, then ``credit_closure(X ∪ {e})``
 equals it, so every ``X ⊆ provable()`` has ``credit_closure(X) =
 provable()``.  On that theorem ``RuleIndex.next_events`` answers a prudent
 one-event extension of its last question as a delta and reads the clauses
-against ``provable()`` once the index has it, and the strategies synthesized
-for one spec check each play tuple once.  A play is prudent exactly when
-every step of its final credit ledger has a circular body inside
-``provable()``, so ``is_prudent_play`` reads only that ledger, as
-``is_proof_trace`` does.  The theorem and that lemma are checked here on
+against ``provable()`` once the index has it, and ``simulate`` hands the
+strategies synthesized for its spec the event set of each step's play.  A
+play is prudent exactly when every step of its final credit ledger has a
+circular body inside ``provable()``, so ``is_prudent_play`` reads only that
+ledger, as ``is_proof_trace`` does.  The theorem and that lemma are checked here on
 seeded random theories and the families, each rewrite against the code it
 replaced (``helpers.prudent_reference``, ``helpers.prudent_by_steps``,
 ``helpers.is_proof_trace_by_prudence``, ``helpers.next_events_reference``)
@@ -16,6 +16,7 @@ and against fresh indexes at every ``simulate`` step, and cost guards pin
 the linear behaviour.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -24,14 +25,17 @@ import pytest
 from pacta import (
     InvalidPlayError,
     Strategy,
+    credits,
     is_proof_trace,
     is_prudent_play,
     print_spec,
     proof_traces,
+    prudent_events,
     shy_dancers,
     simulate,
     spec_of,
     synthesize_strategy,
+    verdict,
 )
 from pacta.cli import main
 from pacta.game import RuleIndex, _rules
@@ -355,6 +359,38 @@ def test_a_strategy_still_validates_every_play_it_has_not_seen():
             first.choose(bad)
     with pytest.raises(InvalidPlayError):
         first.choose(list(play[:1]) * 2)
+
+
+def test_queries_leave_no_per_play_state_on_the_spec():
+    spec = shy_dancers(3)
+    strategies = [synthesize_strategy(spec, p) for p in sorted(spec.participants)]
+    play, _ = simulate(spec, strategies, seed=0)
+    assert strategies[0].offers(play[:2]) == strategies[0].offers(list(play[:2]))
+    assert prudent_events(spec, play[:3])
+    assert credits(spec, play).final == frozenset()
+    assert verdict(spec, play).play == play
+    fields = {f.name for f in dataclasses.fields(spec)}
+    assert "_rule_index" in vars(spec)
+    assert set(vars(spec)) <= fields | {"_rule_index", "_owned_index", "_partners"}
+
+
+def test_a_strategy_for_another_spec_value_checks_the_simulated_play():
+    spec = shy_dancers(3)
+    parts = sorted(spec.participants)
+    twin = dataclasses.replace(spec)  # equal, but another value with its own index
+    for seed in range(3):
+        own = [synthesize_strategy(spec, p) for p in parts]
+        twins = [synthesize_strategy(twin, p) for p in parts]
+        assert simulate(spec, twins, seed) == simulate(spec, own, seed), seed
+
+    # A strategy that trusted the step's play would never see that its spec
+    # lacks an event the others play.
+    gone = max(spec.events - spec.owned_by(parts[0]))
+    fewer = dataclasses.replace(spec, events=spec.events - {gone})
+    strategies = [synthesize_strategy(fewer, parts[0])]
+    strategies += [synthesize_strategy(spec, p) for p in parts[1:]]
+    with pytest.raises(InvalidPlayError, match=f"{gone!r} is not an event"):
+        simulate(spec, strategies, seed=0)
 
 
 def test_check_trace_on_a_long_circular_chain_is_about_linear(tmp_path, capsys):
