@@ -16,13 +16,14 @@ conflicted contract.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from collections.abc import Callable
 from pathlib import Path
 
 from . import dsl, game, gen, logic, oracle
-from .model import ContractSpec, PreconditionError, SpecError
+from .model import ContractSpec, PreconditionError, SpecError, check_play
 
 
 def _read_text(path: str) -> str:
@@ -128,18 +129,26 @@ def _cmd_check_trace(args: argparse.Namespace) -> Answer:
     return (0 if ok else 1), {"is_trace": ok}, lambda: ["yes" if ok else "no"]
 
 
+def _past(spec: ContractSpec, text: str) -> tuple[str, ...]:
+    """The ``--past`` events as a play of *spec*: a repeated or unknown event
+    is refused by position, as ``strategy`` and ``oracle prudence`` refuse it."""
+    return check_play(spec, _event_list(text))
+
+
 def _cmd_urgent(args: argparse.Namespace) -> Answer:
-    return _set_answer("urgent", logic.urgent_atoms(_theory(args), _event_list(args.past)))
+    spec = _read_spec(args.file)
+    past = _past(spec, args.past)
+    return _set_answer("urgent", logic.urgent_atoms(logic.theory_of(spec), past))
 
 
 def _cmd_prudent(args: argparse.Namespace) -> Answer:
     spec = _read_spec(args.file)
-    return _set_answer("prudent", game.prudent_events(spec, _event_list(args.past)))
+    return _set_answer("prudent", game.prudent_events(spec, _past(spec, args.past)))
 
 
 def _cmd_reachable(args: argparse.Namespace) -> Answer:
     spec = _read_spec(args.file)
-    return _set_answer("reachable", game.reachable(spec, _event_list(args.past)))
+    return _set_answer("reachable", game.reachable(spec, _past(spec, args.past)))
 
 
 def _cmd_credits(args: argparse.Namespace) -> Answer:
@@ -305,6 +314,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    The whole command (argument parsing, load, index, answer, output) runs
+    with the cyclic garbage collector paused: a contract's values and its
+    index hold no reference cycles, so the collector would only rescan them
+    while they are built.  The one cyclic garbage a command leaves is the
+    argparse tree of :func:`build_parser`, a fixed few hundred objects
+    whatever the input.  The collector is switched back on at every exit,
+    an escaping exception included, if it was on when ``main`` was called.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -97,12 +97,21 @@ def theory_of(spec: ContractSpec) -> HornTheory:
     """View a conflict-free contract as a Horn theory (owners are dropped).
 
     A clause that names an undeclared event is refused, as ``HornTheory``
-    refuses one that names an atom outside the theory."""
+    refuses one that names an atom outside the theory.  The view is built
+    once per spec value and kept on it, and it shares the spec's one index
+    (``game._rules``), so game queries on the spec and logic queries on its
+    theory build one index between them."""
     if spec.conflicts:
         raise PreconditionError(
             "only conflict-free specifications have a Horn theory reading"
         )
-    return HornTheory(atoms=spec.events, clauses=spec.clauses)
+    theory = spec.__dict__.get("_theory")
+    if theory is None:
+        theory = HornTheory(atoms=spec.events, clauses=spec.clauses)
+        if "_rule_index" in spec.__dict__:
+            theory.__dict__["_rule_index"] = spec.__dict__["_rule_index"]
+        spec.__dict__["_theory"] = theory
+    return theory
 
 
 def spec_of(theory: HornTheory, participant: str = "T") -> ContractSpec:

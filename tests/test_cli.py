@@ -1,12 +1,16 @@
+import dataclasses
+import gc
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from pacta import parse, print_spec, shy_dancers
+from pacta import GoalPayoff, cli, game, parse, print_spec, shy_dancers, spec_of
 from pacta.cli import main
+from pacta.gen import MAX_SHY_DANCERS_N
 
-from helpers import DATA, circular_chain
+from helpers import DATA, circular_chain, standard_chain, withdrawal_cascade
 
 
 def path(name):
@@ -134,6 +138,17 @@ class TestSetValuedCommands:
         assert code == 3
         assert "conflict-free" in err
 
+    @pytest.mark.parametrize("past", ["a,a", "b,a,b", "zz", "a,zz"])
+    @pytest.mark.parametrize("command", ["prudent", "reachable", "urgent", "strategy"])
+    def test_a_bad_past_is_refused_as_oracle_prudence_refuses_it(self, run, command, past):
+        want = run("oracle", "prudence", path("c3.ces"), "--past", past)
+        assert want[:2] == (3, "") and want[2].startswith("error: position ")
+        extra = ("--participant", "A") if command == "strategy" else ()
+        assert run(command, path("c3.ces"), "--past", past, *extra) == want
+
+    def test_a_repeated_atom_is_still_a_no_for_check_trace(self, run):
+        assert run("check-trace", path("c3.ces"), "--trace", "a,a") == (1, "no\n", "")
+
 
 class TestCredits:
     def test_per_prefix_ledger(self, run):
@@ -253,6 +268,14 @@ class TestGen:
     def test_bad_cell_and_tiny_grid_exit_three(self, run):
         assert run("gen", "shy-dancers", "--n", "3", "--circular", "zz")[0] == 3
         assert run("gen", "shy-dancers", "--n", "1")[0] == 3
+
+    def test_an_oversized_grid_exits_three(self, run):
+        n = MAX_SHY_DANCERS_N + 1
+        assert run("gen", "shy-dancers", "--n", str(n)) == (
+            3,
+            "",
+            f"error: shy_dancers takes n <= {MAX_SHY_DANCERS_N}, got {n}\n",
+        )
 
     def test_empty_cell_is_named_as_a_bad_cell(self, run):
         assert run("gen", "shy-dancers", "--n", "3", "--circular", "1.1,") == (
@@ -382,3 +405,119 @@ class TestOutputModes:
             got, out, err = run(*argv, "--json")
             assert (got, err) == (code, "")
             assert json.loads(out)
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda a: " ".join(a[:2]))
+def test_a_command_builds_at_most_one_index(run, monkeypatch, argv):
+    builds = []
+    build = game.RuleIndex.__init__
+
+    def counted(self, clauses):
+        builds.append(clauses)
+        build(self, clauses)
+
+    monkeypatch.setattr(game.RuleIndex, "__init__", counted)
+    run(*argv)
+    assert len(builds) <= 1
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector switched on or off for one test, then restored."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("prove", path("delta3.ces")), 0),  # an answer
+            (("--help",), 0),  # SystemExit from argparse
+            (("nonsense",), 2),  # a usage error, SystemExit too
+            (("prove", path("broken.ces")), 2),  # ParseError
+            (("prudent", path("e5.ces")), 3),  # SpecError
+        ],
+        ids=["answer", "help", "usage", "parse-error", "spec-error"],
+    )
+    def test_main_runs_paused_and_leaves_the_collector_as_it_found_it(
+        self, run, monkeypatch, collector, argv, code
+    ):
+        seen = []
+        build = cli.build_parser
+
+        def watched():
+            seen.append(gc.isenabled())
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", watched)
+        assert run(*argv)[0] == code
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    def test_an_escaping_exception_propagates_unchanged(self, monkeypatch, collector):
+        boom = RuntimeError("boom")
+        seen = []
+
+        def broken(*_):
+            seen.append(gc.isenabled())
+            raise boom
+
+        monkeypatch.setattr(game, "verdict", broken)
+        with pytest.raises(RuntimeError) as raised:
+            main(["verdict", "--play", "b,a", path("c3.ces")])
+        assert raised.value is boom
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+
+def _with_goals(spec):
+    """The spec with each participant wanting every event it owns."""
+    goals = {p: GoalPayoff(spec.owned_by(p)) for p in spec.participants}
+    return dataclasses.replace(spec, payoffs=goals)
+
+
+# Each family with a small and a large member.
+FAMILIES = {
+    "shy dancers": (shy_dancers, (3, 6)),
+    "circular chain": (lambda n: _with_goals(circular_chain(n)[0]), (4, 20)),
+    "standard chain": (lambda n: _with_goals(spec_of(standard_chain(n))), (4, 200)),
+    "cascade": (lambda m: withdrawal_cascade(m)[0], (4, 64)),
+}
+
+
+@pytest.mark.parametrize("collector", [False], indirect=True, ids=["collector-off"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_command_leaves_as_much_cyclic_garbage_whatever_the_input_size(
+    tmp_path, collector, family
+):
+    """``main`` pauses the collector, so what it cannot free by reference
+    counting waits for the next collection; that must not grow with the
+    contract, or a paused command holds back more than its argparse tree."""
+    make, sizes = FAMILIES[family]
+    found = {}
+    for n in sizes:
+        spec = make(n)
+        file = tmp_path / f"{n}.ces"
+        file.write_text(print_spec(spec))
+        events = sorted(spec.events)
+        play, past = ",".join(events), ",".join(events[: len(events) // 2])
+        for argv in (
+            ("agree",),
+            ("prove",),
+            ("credits", "--play", play),
+            ("verdict", "--play", play),
+            ("simulate",),
+            ("traces", "--max", "10"),
+            ("check-trace", "--trace", play),
+            ("urgent", "--past", past),
+        ):
+            sink = io.StringIO()
+            gc.collect()
+            with redirect_stdout(sink), redirect_stderr(sink):
+                assert main([*argv, str(file)]) in (0, 1), (argv[0], n)
+            found.setdefault(argv[0], []).append(gc.collect())
+    for command, (small, large) in found.items():
+        assert small == large, command

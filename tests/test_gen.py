@@ -14,7 +14,8 @@ from pacta import (
     shy_dancers,
     validate,
 )
-from pacta.gen import _neighbours
+from pacta import gen
+from pacta.gen import MAX_SHY_DANCERS_N, _neighbours
 
 
 class TestNeighbourhoods:
@@ -95,6 +96,19 @@ class TestShyDancers:
             shy_dancers(3, circular=[(0, 2)])
         with pytest.raises(PreconditionError):
             shy_dancers(3, circular=[(1, 4)])
+
+    def test_an_oversized_grid_is_refused_before_anything_is_built(self, monkeypatch):
+        # The grid's first allocation is its list of cells, built with range.
+        def built(*_):
+            raise AssertionError("the grid was being built")
+
+        monkeypatch.setattr(gen, "range", built, raising=False)
+        with pytest.raises(PreconditionError, match=f"n <= {MAX_SHY_DANCERS_N}, got 100000000"):
+            shy_dancers(100_000_000)
+        with pytest.raises(PreconditionError, match=f"n <= {MAX_SHY_DANCERS_N}, got"):
+            shy_dancers(MAX_SHY_DANCERS_N + 1)
+        with pytest.raises(AssertionError, match="being built"):
+            shy_dancers(MAX_SHY_DANCERS_N)  # the cap itself is built
 
 
 class TestPartyDynamics:

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -16,11 +18,13 @@ from pacta import (
     proof_traces,
     provable_atoms,
     prudent_events,
+    provable_events,
     spec_of,
     std,
     theory_of,
     urgent_atoms,
 )
+from pacta.game import RuleIndex, _rules
 from pacta.logic import interleave, mark_done, mark_reachable, mark_urgent
 
 from helpers import c3, delta1, delta2, delta3, delta4, e5, star_theory
@@ -68,6 +72,43 @@ class TestHornTheory:
     def test_theory_of_rejects_conflicts(self):
         with pytest.raises(PreconditionError):
             theory_of(e5())
+
+    def test_a_spec_and_its_theory_share_one_index_whoever_asks_first(self, monkeypatch):
+        builds = []
+        build = RuleIndex.__init__
+
+        def counted(self, clauses):
+            builds.append(clauses)
+            build(self, clauses)
+
+        monkeypatch.setattr(RuleIndex, "__init__", counted)
+        theory_first, spec_first = c3(), c3()
+        theory = theory_of(theory_first)
+        assert theory_of(theory_first) is theory
+        assert provable_atoms(theory) == provable_events(theory_first) == {"a", "b"}
+        assert _rules(theory) is _rules(theory_first)
+        assert prudent_events(spec_first, ()) == urgent_atoms(theory_of(spec_first), ()) == {"a"}
+        assert _rules(theory_of(spec_first)) is _rules(spec_first)
+        assert theory_of(spec_first) is theory_of(spec_first)
+        assert len(builds) == 2  # one index per spec value
+        twin = dataclasses.replace(spec_first)
+        assert theory_of(twin) == theory_of(spec_first)
+        assert theory_of(twin) is not theory_of(spec_first)
+        assert _rules(theory_of(twin)) is not _rules(spec_first)
+
+    def test_a_kept_theory_holds_no_reference_cycle(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            spec = c3()
+            _rules(theory_of(spec))
+            _rules(spec)
+            gone = weakref.ref(spec)
+            del spec
+            assert gone() is None  # freed by reference counting alone
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_spec_of_wraps_single_participant(self):
         spec = spec_of(delta1(), "T")
