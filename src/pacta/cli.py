@@ -23,7 +23,7 @@ from collections.abc import Callable
 from pathlib import Path
 
 from . import dsl, game, gen, logic, oracle
-from .model import ContractSpec, PreconditionError, SpecError, check_play
+from .model import ContractSpec, PreconditionError, SpecError, _unknown_event, check_play
 
 
 def _read_text(path: str) -> str:
@@ -125,7 +125,14 @@ def _cmd_traces(args: argparse.Namespace) -> Answer:
 
 
 def _cmd_check_trace(args: argparse.Namespace) -> Answer:
-    ok = logic.is_proof_trace(_theory(args), _event_list(args.trace))
+    spec = _read_spec(args.file)
+    trace = _event_list(args.trace)
+    # An unknown event is refused by position, as check_play refuses it; a
+    # repeated one is a clean "no".
+    for i, event in enumerate(trace):
+        if event not in spec.events:
+            raise _unknown_event(i, event)
+    ok = logic.is_proof_trace(logic.theory_of(spec), trace)
     return (0 if ok else 1), {"is_trace": ok}, lambda: ["yes" if ok else "no"]
 
 

@@ -23,19 +23,29 @@ as an alias for ``<<-`` on input; the printer always emits ``<-``/``<<-``.
 The printer output is canonical (everything sorted, ownership explicit) and
 parses back to an equal specification.
 
-Loading makes each check once.  The line checks of :func:`analyze` already
-make every check of :func:`~pacta.model.validate` but the clause-against-
-conflict one, so that one alone runs on the spec it builds, and only when
-the file has conflicts.  A loaded spec holds one frozenset per distinct
-event set, shared by the clause bodies and payoff pairs that hold it.
+Loading reads, then walks.  :func:`analyze` first reads the file in bulk:
+one pass over the lines splits each one and files its text by directive,
+and every line check then runs once over what was collected (all distinct
+names in one match, each distinct clause body and payoff form once,
+ownership and declarations as dict and set operations).  Only a file that
+fails a check is walked line by line, and the walk only names the
+findings, each at its line.  The read makes every check of
+:func:`~pacta.model.validate` but the clause-against-conflict one, so that
+one alone runs on the spec it builds, and only when the file has
+conflicts.  A loaded spec holds one frozenset per distinct event set,
+shared by the clause bodies and payoff pairs that hold it.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
+from itertools import chain, compress, repeat
+from operator import not_
 
 from .model import (
     CIRCULAR,
+    NAME_LINES_RE,
     NAME_RE,
     STANDARD,
     Clause,
@@ -43,6 +53,7 @@ from .model import (
     Diagnostic,
     GoalPayoff,
     OfferRequestPayoff,
+    Payoff,
     SpecError,
     _bad_name_code,
     conflicting_clauses,
@@ -81,66 +92,245 @@ def _body_names(body_text: str) -> list[str]:
 def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
     """Parse *text*, returning the spec or every problem found (never both).
 
-    Each line takes one path per directive.  A name is looked up in the set
-    of names already accepted in this call before ``NAME_RE`` is asked, so a
-    well-formed line costs a few string splits and set lookups; the checks
-    that name a problem run only for a line that fails those lookups.  A
-    clause body or payoff form whose text was accepted earlier in the call
-    is not split or checked again, and reuses the frozensets built for it.
-
-    A spec is built only when no line check found anything, and then only
+    The file is read, then walked only if the read refuses it.  The read
+    (:func:`_read`) files each line's text by directive and makes every
+    line check in bulk over the collected texts; it builds the spec of a
+    file that passes them all, and then only
     :func:`~pacta.model.conflicting_clauses` is asked about it: every other
     check of ``validate`` holds by construction (names passed ``NAME_RE``,
     every event has an owner that is a declared agent, and bodies,
     conflicts and payoffs name only owned events and declared agents).
+    The walk (:func:`_walk`) reads a refused file line by line and names
+    each finding at its line; it builds no spec.
     """
+    spec = _read(text)
+    if spec is None:
+        diags = _walk(text)
+        if not diags:
+            raise AssertionError("the read refused a file in which the walk finds nothing")
+        return None, diags
+    residual = [finding for _, finding in conflicting_clauses(spec)]
+    if residual:
+        return None, residual
+    return spec, []
+
+
+_CLAUSE_ARROW = {True: "<<-", False: "<-"}
+_CLAUSE_KIND = {True: CIRCULAR, False: STANDARD}
+_EMPTY_BODIES = frozenset({"", "true"})
+
+
+def _read(text: str) -> ContractSpec | None:
+    """The spec of *text*, or None when a line check of :func:`_walk` would
+    find something.
+
+    One loop splits each line and files its text by directive; the checks
+    then run over the filed texts, each distinct clause body and payoff
+    form once, and each filed text is dropped once it is read.
+    """
+    clause_texts: list[str] = []
+    payoff_texts: list[str] = []
+    conflict_texts: list[str] = []
+    # (clause lines above it, text) of each agent line
+    agent_lines: list[tuple[int, str]] = []
+    # "↠" is "<<-" to the walk, which splits a clause at the first "<<-",
+    # else the first "↠", else the first "<-".  They split alike unless a
+    # line holds two arrows, and then both leave one where no name can be.
+    for line in text.lstrip("\ufeff").replace("↠", "<<-").splitlines():
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        parts = line.split(None, 1)
+        if not parts:
+            continue
+        if len(parts) == 1:  # a directive with nothing after it
+            return None
+        directive, rest = parts
+        if directive == "clause":
+            clause_texts.append(rest)
+        elif directive == "payoff":
+            payoff_texts.append(rest)
+        elif directive == "agent":
+            agent_lines.append((len(clause_texts), rest))
+        elif directive == "conflict":
+            conflict_texts.append(rest)
+        else:
+            return None
+
+    # One frozenset per distinct event set, shared by every clause body
+    # and payoff that holds it.
+    sets: dict[frozenset[str], frozenset[str]] = {}
+    heads, clauses = _read_clauses(clause_texts, sets)
+    del clause_texts  # the line texts are most of what the read holds
+    if len(clauses) < len(heads):  # a clause repeated
+        return None
+    payoffs = _read_payoffs(payoff_texts, sets)
+    del payoff_texts
+    if payoffs is None:
+        return None
+
+    # --- ownership: an event an 'owns' list names has that owner, and any
+    # other head takes the agent block of its first line, so it may not
+    # come above the first agent line.
+    agents: list[str] = []
+    owner: dict[str, str] = {}
+    for _, rest in agent_lines:
+        tokens = rest.split()
+        if len(tokens) > 1 and (tokens[1] != "owns" or len(tokens) == 2):
+            return None
+        name = tokens[0]
+        owned = tokens[2:]
+        if not {name}.issuperset(map(owner.get, owned, repeat(name))):
+            return None  # an event owned by another agent
+        owner.update(dict.fromkeys(owned, name))
+        agents.append(name)
+    if not all(map(owner.__contains__, heads)):
+        starts = [start for start, _ in agent_lines]
+        above = heads[: starts[0]] if starts else heads
+        if not all(map(owner.__contains__, above)):
+            return None
+        block_owner: dict[str, str] = {}
+        for start, end, name in reversed(list(zip(starts, starts[1:] + [len(heads)], agents))):
+            block_owner.update(dict.fromkeys(heads[start:end], name))
+        # The 'owns' lists first, then the other heads in file order.
+        explicit_owner = owner
+        first_seen = dict.fromkeys(heads)
+        owner = dict(explicit_owner)
+        owner.update(zip(first_seen, map(block_owner.get, first_seen)))
+        owner.update(explicit_owner)
+
+    # --- declarations and names: once every event set and conflict names
+    # only events and every payoff an agent, the events and agents are
+    # every name of the file.
+    conflicts = [rest.split() for rest in conflict_texts]
+    if any(len(pair) != 2 or pair[0] == pair[1] for pair in conflicts):
+        return None
+    events = owner.keys()
+    if not all(map(events.__ge__, sets)) or not all(
+        map(owner.__contains__, chain.from_iterable(conflicts))
+    ):
+        return None
+    participants = set(agents)
+    if not participants.issuperset(payoffs):
+        return None
+    names = [*events, *participants]
+    if names and not NAME_LINES_RE.match("\n".join(names)):
+        return None
+
+    return ContractSpec(
+        events=events,
+        participants=participants,
+        owner=owner,
+        clauses=clauses,
+        conflicts=conflicts,
+        payoffs=payoffs,
+    )
+
+
+def _read_clauses(texts: list[str], sets: dict) -> tuple[list[str], set[Clause]]:
+    """The head of each clause line's text, and the set of their clauses.
+
+    Each text is split as the walk splits it, and each distinct body text is
+    read once, as :func:`_body_names` reads it.
+    """
+    circular = list(map(str.__contains__, texts, repeat("<<-")))
+    split = map(str.partition, texts, map(_CLAUSE_ARROW.__getitem__, circular))
+    head_texts, _, body_texts = zip(*split) if texts else ((), (), ())
+    heads = list(map(str.strip, head_texts))
+    distinct = list(set(body_texts))
+    stripped = list(map(str.strip, distinct))
+    empty = list(map(_EMPTY_BODIES.__contains__, stripped))
+    full = list(map(not_, empty))
+    items = map(str.split, compress(stripped, full), repeat(","))
+    found = list(map(frozenset, map(map, repeat(str.strip), items)))
+    body_of = dict.fromkeys(compress(distinct, empty), frozenset())
+    body_of.update(zip(compress(distinct, full), map(sets.setdefault, found, found)))
+    bodies = map(body_of.__getitem__, body_texts)
+    kinds = map(_CLAUSE_KIND.__getitem__, circular)
+    return heads, set(map(tuple.__new__, repeat(Clause), zip(heads, bodies, kinds)))
+
+
+def _read_payoffs(texts: list[str], sets: dict) -> dict[str, Payoff] | None:
+    """The payoff of each participant of the payoff lines' texts, or None.
+
+    Each distinct form text is read once.
+    """
+    form_of: dict[str, tuple[frozenset[str] | None, list]] = {}
+    forms: defaultdict[str, list[tuple[frozenset[str] | None, list]]] = defaultdict(list)
+    try:
+        for name, form_text in map(str.split, texts, repeat(None), repeat(1)):
+            form = form_of.get(form_text)
+            if form is None:
+                form = form_of[form_text] = _read_form(form_text.strip(), sets)
+                if form is None:
+                    return None
+            forms[name].append(form)
+    except ValueError:  # a payoff line with no form
+        return None
+    payoffs: dict[str, Payoff] = {}
+    for name, read in forms.items():
+        goal = read[0][0]
+        if goal is not None:
+            if len(read) > 1:  # a second goal, or both forms
+                return None
+            payoffs[name] = GoalPayoff(goal)
+        elif any(other is not None for other, _ in read):
+            return None
+        else:
+            pairs = frozenset(chain.from_iterable(pairs for _, pairs in read))
+            payoffs[name] = OfferRequestPayoff(pairs)
+    return payoffs
+
+
+def _read_form(text: str, sets: dict) -> tuple[frozenset[str] | None, list] | None:
+    """(goal, []) or (None, pairs) for the form text of a payoff, or None."""
+    match = _PAYOFF_RE.fullmatch(text)
+    if match is None:
+        return None
+
+    def event_set(names: str) -> frozenset[str]:
+        found = frozenset(names.split())
+        return sets.setdefault(found, found)
+
+    goal_text, offers_text, requests_text, more = match.groups()
+    if goal_text is not None:
+        return event_set(goal_text), []
+    pair_texts = [(offers_text, requests_text)]
+    if more:
+        pair_texts += _PAIR_RE.findall(more)
+    return None, [(event_set(offers), event_set(requests)) for offers, requests in pair_texts]
+
+
+def _walk(text: str) -> list[Diagnostic]:
+    """Every finding of the line checks on *text*, each at its line, in
+    the order :func:`analyze` reports them."""
     diags: list[Diagnostic] = []
 
     def report(code: str, message: str, lineno: int, col: int | None = None) -> None:
         diags.append(Diagnostic(code, message, lineno, col))
 
-    named: set[str] = set()  # tokens NAME_RE has accepted in this call
-
     def good_name(token: str, lineno: int, line: str | None = None) -> bool:
         """Check *token*; a finding gets the column of *token* in *line*, if given."""
-        if token in named:
-            return True
         if NAME_RE.match(token):
-            named.add(token)
             return True
         col = None if line is None else line.index(token) + 1
         report(_bad_name_code(token), f"{token!r} is not a valid name", lineno, col)
         return False
 
-    # One frozenset per distinct event set, shared by every clause body and
-    # payoff pair that holds it.  Accepted clause body texts and payoff form
-    # texts map to what they read as, so a repeated text is read once.
-    sets: dict[frozenset[str], frozenset[str]] = {}
-    bodies: dict[str, frozenset[str]] = {}
-    forms: dict[str, tuple[frozenset[str] | None, list]] = {}
-
-    def event_set(names: list[str]) -> frozenset[str]:
-        found = frozenset(names)
-        return sets.setdefault(found, found)
-
     def read_body(body_text: str, lineno: int) -> frozenset[str] | None:
         """The body of a clause as a set, or None."""
         body = _body_names(body_text)
-        if not named.issuperset(body):
-            ok = True
-            for item in body:
-                if not item:
-                    report("bad-clause", "empty entry in clause body", lineno)
-                    ok = False
-                elif not good_name(item, lineno):
-                    ok = False
-            if not ok:
-                return None
-        bodies[body_text] = found = event_set(body)
-        return found
+        ok = True
+        for item in body:
+            if not item:
+                report("bad-clause", "empty entry in clause body", lineno)
+                ok = False
+            elif not good_name(item, lineno):
+                ok = False
+        return frozenset(body) if ok else None
 
-    def read_form(spec_text: str, lineno: int) -> tuple[frozenset[str] | None, list] | None:
-        """(goal, []) or (None, pairs) for the form of a payoff, or None."""
+    def read_form(spec_text: str, lineno: int) -> tuple[bool, list[frozenset[str]]] | None:
+        """Whether a payoff's form is a goal, and the events of the goal or of
+        each pair, or None."""
         match = _PAYOFF_RE.fullmatch(spec_text)
         if match is None:
             report(
@@ -151,37 +341,25 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
             return None
         goal_text, offers_text, requests_text, more = match.groups()
         if goal_text is not None:
-            goal = goal_text.split()
-            if not named.issuperset(goal) and not all(good_name(ev, lineno) for ev in goal):
-                return None
-            forms[spec_text] = form = (event_set(goal), [])
-            return form
-        pair_texts = [(offers_text, requests_text)]
-        if more:
-            pair_texts += _PAIR_RE.findall(more)
-        pairs: list[tuple[frozenset[str], frozenset[str]]] = []
-        for offers_text, requests_text in pair_texts:
-            offers = offers_text.split()
-            requests = requests_text.split()
-            if (named.issuperset(offers) and named.issuperset(requests)) or all(
-                good_name(ev, lineno) for ev in offers + requests
-            ):
-                pairs.append((event_set(offers), event_set(requests)))
-        if len(pairs) < len(pair_texts):
+            found = [goal_text.split()]
+        else:
+            pairs = [(offers_text, requests_text), *_PAIR_RE.findall(more)]
+            found = [offers.split() + requests.split() for offers, requests in pairs]
+        # Each goal or pair is checked up to its first bad name.
+        if not all([all(good_name(ev, lineno) for ev in names) for names in found]):
             return None
-        forms[spec_text] = form = (None, pairs)
-        return form
+        return goal_text is not None, list(map(frozenset, found))
 
     participants: set[str] = set()
     explicit_owner: dict[str, str] = {}
-    clauses: set[Clause] = set()
-    # (clause, body text, line, repeats an earlier clause)
-    clause_lines: list[tuple[Clause, str, int, bool]] = []
+    clauses: set[tuple[str, frozenset[str], str]] = set()
+    # (head, body text, line, repeats an earlier clause)
+    clause_lines: list[tuple[str, str, int, bool]] = []
     # (head, line, agent block active at that line) of heads not yet owned
     unowned_heads: list[tuple[str, int, str | None]] = []
     conflict_lines: list[tuple[str, str, int]] = []
-    # (participant, goal or None for the pairs form, pairs, line)
-    payoff_lines: list[tuple[str, frozenset[str] | None, list, int]] = []
+    # (participant, uses the goal form, events of the goal or of each pair, line)
+    payoff_lines: list[tuple[str, bool, list[frozenset[str]], int]] = []
     active_agent: str | None = None
 
     for lineno, line in enumerate(text.lstrip("\ufeff").splitlines(), start=1):
@@ -210,19 +388,14 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
             if not head_text or " " in head_text or "\t" in head_text:
                 report("bad-clause", "clause needs a single head event", lineno)
                 continue
-            if head_text not in named and not good_name(head_text, lineno, line):
+            if not good_name(head_text, lineno, line):
                 continue
-            body = bodies.get(body_text)
+            body = read_body(body_text, lineno)
             if body is None:
-                body = read_body(body_text, lineno)
-                if body is None:
-                    continue
-            # body is a frozenset and kind one of the two: the checks of
-            # Clause.__new__ would hold, so the tuple is built directly.
-            clause = tuple.__new__(Clause, (head_text, body, kind))
+                continue
             size = len(clauses)
-            clauses.add(clause)
-            clause_lines.append((clause, body_text, lineno, len(clauses) == size))
+            clauses.add((head_text, body, kind))
+            clause_lines.append((head_text, body_text, lineno, len(clauses) == size))
             if head_text not in explicit_owner:
                 unowned_heads.append((head_text, lineno, active_agent))
 
@@ -233,9 +406,9 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
             if not name or not spec_text:
                 report("bad-payoff", "payoff needs a participant and a form", lineno)
                 continue
-            if name not in named and not good_name(name, lineno, line):
+            if not good_name(name, lineno, line):
                 continue
-            form = forms.get(spec_text) or read_form(spec_text, lineno)
+            form = read_form(spec_text, lineno)
             if form is None:
                 continue
             payoff_lines.append((name, *form, lineno))
@@ -246,7 +419,7 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
                 report("bad-agent", "agent needs a name", lineno)
                 continue
             name = tokens[0]
-            if name not in named and not good_name(name, lineno, line):
+            if not good_name(name, lineno, line):
                 continue
             participants.add(name)
             active_agent = name
@@ -259,7 +432,7 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
                     )
                     continue
                 for ev in tokens[2:]:
-                    if ev not in named and not good_name(ev, lineno):
+                    if not good_name(ev, lineno):
                         continue
                     previous = explicit_owner.setdefault(ev, name)
                     if previous != name:
@@ -310,9 +483,8 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
                     lineno,
                 )
 
-    for (head, body, _), body_text, lineno, repeated in clause_lines:
-        if not body <= events:
-            undeclared(_body_names(body_text), lineno, f"clause for {head!r}")
+    for head, body_text, lineno, repeated in clause_lines:
+        undeclared(_body_names(body_text), lineno, f"clause for {head!r}")
         if repeated:
             report("duplicate-clause", f"clause for {head!r} repeated", lineno)
 
@@ -320,9 +492,8 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
         undeclared((e1, e2), lineno, "conflict")
 
     payoff_form: dict[str, bool] = {}  # participant -> uses the goal form
-    goals: dict[str, frozenset[str]] = {}
-    pair_acc: dict[str, list[tuple[frozenset[str], frozenset[str]]]] = {}
-    for participant, goal, pairs, lineno in payoff_lines:
+    with_goal: set[str] = set()
+    for participant, is_goal, found, lineno in payoff_lines:
         if participant not in participants:
             report(
                 "unknown-participant",
@@ -330,12 +501,8 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
                 lineno,
             )
             continue
-        if goal is not None and not goal <= events:
-            undeclared(sorted(goal - events), lineno, "payoff")
-        for offers, requests in pairs:
-            if not (offers <= events and requests <= events):
-                undeclared(sorted((offers | requests) - events), lineno, "payoff")
-        is_goal = goal is not None
+        for names in found:
+            undeclared(sorted(names), lineno, "payoff")
         if payoff_form.setdefault(participant, is_goal) != is_goal:
             report(
                 "mixed-payoff",
@@ -344,38 +511,15 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
             )
             continue
         if is_goal:
-            if participant in goals:
+            if participant in with_goal:
                 report(
                     "duplicate-goal",
                     f"second goal payoff for {participant!r}",
                     lineno,
                 )
-                continue
-            goals[participant] = goal
-        else:
-            pair_acc.setdefault(participant, []).extend(pairs)
+            with_goal.add(participant)
 
-    if diags:
-        return None, diags
-
-    payoffs: dict[str, GoalPayoff | OfferRequestPayoff] = {}
-    for p, goal in goals.items():
-        payoffs[p] = GoalPayoff(goal)
-    for p, pairs in pair_acc.items():
-        payoffs[p] = OfferRequestPayoff(tuple(pairs))
-
-    spec = ContractSpec(
-        events=events,
-        participants=participants,
-        owner=owner,
-        clauses=clauses,
-        conflicts=((e1, e2) for e1, e2, _ in conflict_lines),
-        payoffs=payoffs,
-    )
-    residual = [finding for _, finding in conflicting_clauses(spec)]
-    if residual:
-        return None, residual
-    return spec, []
+    return diags
 
 
 def parse(text: str) -> ContractSpec:
@@ -418,9 +562,11 @@ def print_spec(spec: ContractSpec) -> str:
         if isinstance(payoff, GoalPayoff):
             lines.append(f"payoff {p} goal {{{' '.join(sorted(payoff.goal))}}}")
         else:
-            for offers, requests in payoff.pairs:
+            for offers, requests in sorted(
+                (sorted(offers), sorted(requests)) for offers, requests in payoff.pairs
+            ):
                 lines.append(
-                    f"payoff {p} offers {{{' '.join(sorted(offers))}}}"
-                    f" requests {{{' '.join(sorted(requests))}}}"
+                    f"payoff {p} offers {{{' '.join(offers)}}}"
+                    f" requests {{{' '.join(requests)}}}"
                 )
     return "\n".join(lines) + "\n"

@@ -28,11 +28,14 @@ CIRCULAR = "circular"
 #: ``true`` is the empty clause body, so ``clause a <- true`` could not name it.
 RESERVED_WORDS = frozenset({"true"})
 
+# An identifier that is not a reserved word, up to a newline or the end.
+_NAME = rf"(?!(?:{'|'.join(sorted(RESERVED_WORDS))})(?:\n|\Z))[A-Za-z_][A-Za-z0-9_]*"
 #: Names a contract file may use for events and participants: identifiers
 #: other than the reserved words.
-NAME_RE = re.compile(
-    rf"(?!(?:{'|'.join(sorted(RESERVED_WORDS))})\Z)[A-Za-z_][A-Za-z0-9_]*\Z"
-)
+NAME_RE = re.compile(rf"{_NAME}\Z")
+
+#: Names joined by newlines: one match checks every one against ``NAME_RE``.
+NAME_LINES_RE = re.compile(rf"{_NAME}(?:\n{_NAME})*\Z")
 
 #: Prefixes reserved for the urgency encoding (see :func:`pacta.logic.encode_urgency`).
 RESERVED_PREFIXES = ("R$", "U$")
@@ -177,21 +180,22 @@ class OfferRequestPayoff:
     honoured too (for all pairs, O ⊆ X implies R ⊆ X) and at least one
     request is fully in X.  With no pairs at all the payoff is never
     satisfied; the DSL cannot write such a payoff, so ``validate`` reports it.
+    ``pairs`` is a frozenset, since the order and repeats of pairs carry no
+    meaning; the printer sorts them.
     """
 
-    pairs: tuple[tuple[frozenset[str], frozenset[str]], ...]
+    pairs: frozenset[tuple[frozenset[str], frozenset[str]]]
 
     def __post_init__(self) -> None:
-        # Normalise: pair order and duplicates carry no meaning.  Duplicates
-        # are dropped in input order, so pairs that come sorted (a printed
-        # file, or another payoff's pairs) sort in one linear pass.  A set
-        # in many pairs (a request equal to its offer, say) is sorted once.
-        pairs = dict.fromkeys(
-            (_event_set(o, "an offer"), _event_set(r, "a request")) for o, r in self.pairs
+        # A side that is a frozenset already, as a loaded one is, is kept.
+        pairs = frozenset(
+            (
+                o if type(o) is frozenset else _event_set(o, "an offer"),
+                r if type(r) is frozenset else _event_set(r, "a request"),
+            )
+            for o, r in self.pairs
         )
-        key = {s: sorted(s) for s in set(chain.from_iterable(pairs))}
-        canon = sorted(pairs, key=lambda pr: (key[pr[0]], key[pr[1]]))
-        object.__setattr__(self, "pairs", tuple(canon))
+        object.__setattr__(self, "pairs", pairs)
 
     def holds(self, done: frozenset[str]) -> bool:
         if not all(req <= done for offer, req in self.pairs if offer <= done):
@@ -386,6 +390,11 @@ def validate(spec: ContractSpec) -> list[Diagnostic]:
     return [d for key in sorted(found) for d in found[key]]
 
 
+def _unknown_event(position: int, event: str) -> InvalidPlayError:
+    """The error naming *event*, not an event of the contract, at *position*."""
+    return InvalidPlayError(f"position {position}: {event!r} is not an event of the contract")
+
+
 def check_play(spec: ContractSpec, play: Iterable[str]) -> tuple[str, ...]:
     """Validate *play* as a sequence of moves of *spec* and return it as a tuple.
 
@@ -408,7 +417,7 @@ def check_play(spec: ContractSpec, play: Iterable[str]) -> tuple[str, ...]:
     seen: set[str] = set()
     for i, e in enumerate(seq):
         if e not in spec.events:
-            raise InvalidPlayError(f"position {i}: {e!r} is not an event of the contract")
+            raise _unknown_event(i, e)
         if e in seen:
             raise InvalidPlayError(f"position {i}: event {e!r} repeated")
         if not seen.isdisjoint(partners.get(e, ())):

@@ -108,9 +108,16 @@ class TestCheckTrace:
         assert json.loads(out) == {"is_trace": False}
 
     def test_unknown_atoms_exit_three(self, run):
-        code, _, err = run("check-trace", path("delta3.ces"), "--trace", "a,zz")
-        assert code == 3
-        assert "unknown atoms" in err
+        message = "error: position 1: 'zz' is not an event of the contract\n"
+        assert run("check-trace", path("delta3.ces"), "--trace", "a,zz") == (3, "", message)
+        # Named as urgent, prudent and reachable name an unknown --past event.
+        assert run("urgent", path("delta3.ces"), "--past", "a,zz") == (3, "", message)
+        # An unknown event is refused even after a repeat.
+        message = "error: position 2: 'zz' is not an event of the contract\n"
+        assert run("check-trace", path("delta3.ces"), "--trace", "a,a,zz") == (3, "", message)
+
+    def test_a_repeated_event_is_a_clean_no(self, run):
+        assert run("check-trace", path("delta3.ces"), "--trace", "a,b,a") == (1, "no\n", "")
 
 
 class TestSetValuedCommands:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from pacta import (
     circ,
     parse,
     print_spec,
+    shy_dancers,
     spec_of,
     std,
     validate,
@@ -240,6 +242,36 @@ class TestPrinter:
         )
         assert "payoff A goal {}" in print_spec(spec)
         assert parse(print_spec(spec)) == spec
+
+    # SHA-256 of print_spec(shy_dancers(n, cells)) as the printer wrote it when
+    # payoff pairs were a sorted tuple; the printer now sorts them itself.
+    # perfbench writes its grid inputs this way.
+    GRID_DIGESTS = {
+        (6, "corner"): "d5c984ab3c9c9afca1c2cd6865f058711bbf16b26ba93f0fe9ef05131b0d58ce",
+        (6, "standard"): "c7b0b0d69e1f24c22b04a6ed059643b14c4109040dda2d7bce1c31ed503e9f45",
+        (10, "corner"): "4b3b91087d2ad2b882b8d82d99dbdd90f75b6222d5268a696cfc6fa3df881a5a",
+        (10, "standard"): "9345a2003237f97083d77e7ab2fd2dd1f4dd0dec3dbc9c795743ad5189229f4a",
+        (14, "corner"): "5f299660f99a42e9503406471de02414b36412d7b99ba3449cd1588a11bf6d48",
+        (14, "standard"): "d2d6e4f44e0ecfa5e07813091960f9392c05f370ec2753fd08155c460517c54c",
+    }
+    CELLS = {"corner": [(1, 1), (1, 2), (2, 1), (2, 2)], "standard": []}
+
+    @pytest.mark.parametrize("n, cells", sorted(GRID_DIGESTS))
+    def test_printed_grids_keep_their_bytes(self, n, cells):
+        text = print_spec(shy_dancers(n, self.CELLS[cells]))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GRID_DIGESTS[n, cells]
+
+    def test_shuffled_pair_lines_parse_equal_and_print_the_same_bytes(self):
+        text = print_spec(shy_dancers(6, self.CELLS["corner"]))
+        lines = text.splitlines()
+        pair_lines = [line for line in lines if line.startswith("payoff")]
+        random.Random(24).shuffle(pair_lines)
+        shuffled = "\n".join(
+            [line for line in lines if not line.startswith("payoff")] + pair_lines
+        ) + "\n"
+        assert shuffled != text
+        assert parse(shuffled) == parse(text)
+        assert print_spec(parse(shuffled)) == text
 
 
 class TestRoundTrip:

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from pacta import dsl
 from pacta import (
     CIRCULAR,
     InvalidPlayError,
@@ -75,9 +76,18 @@ VALIDATE_CODES = {
 }
 
 
+def has_line_finding(found: list) -> bool:
+    """Whether the reference found something before building a spec: its
+    only finding on a built spec is a clause against a conflict."""
+    return any(d.code != "conflicting-clause" for d in found)
+
+
 def same_analysis(text: str) -> list:
     got = analyze(text)
-    assert got == analyze_reference(text), text
+    reference = analyze_reference(text)
+    assert got == reference, text
+    # The bulk read refuses exactly the files with a line finding.
+    assert (dsl._read(text) is None) == has_line_finding(reference[1]), text
     # analyze runs no full validate on the spec it builds: its line checks
     # must make every check validate makes.
     if got[0] is not None:
@@ -289,21 +299,26 @@ def test_payoff_lines_with_several_pairs_match_the_reference():
     assert several > 100
 
 
+def read_again_file(rng: random.Random, k: int) -> str:
+    """A multi-pair or mutated file with its clause and payoff lines repeated."""
+    if k % 2:
+        text = multi_pair_file(rng)
+    else:
+        base = FIXTURES[k % len(FIXTURES)] if k % 3 == 0 else print_spec(
+            random_spec(rng, allow_conflicts=True)
+        )
+        text = mutate(rng, base)
+    lines = text.splitlines()
+    again = [line for line in lines if line.lstrip().startswith(("clause", "payoff"))]
+    return "\n".join(lines + again) + "\n"
+
+
 def test_clause_and_payoff_lines_read_again_match_the_reference():
-    # analyze reads each accepted body or payoff form text once per call; a
+    # The read takes each distinct body or payoff form text once per call; a
     # text that failed is reported again at every line that holds it.
     rng = random.Random(1618)
     for k in range(2_000):
-        if k % 2:
-            text = multi_pair_file(rng)
-        else:
-            base = FIXTURES[k % len(FIXTURES)] if k % 3 == 0 else print_spec(
-                random_spec(rng, allow_conflicts=True)
-            )
-            text = mutate(rng, base)
-        lines = text.splitlines()
-        again = [line for line in lines if line.lstrip().startswith(("clause", "payoff"))]
-        same_analysis("\n".join(lines + again) + "\n")
+        same_analysis(read_again_file(rng, k))
 
 
 # --- files at size ------------------------------------------------------------
@@ -344,6 +359,61 @@ def test_conflicted_grids_match_the_reference():
     for text in conflicted_grids():
         found = same_analysis(text)
         assert found and {d.code for d in found} == {"conflicting-clause"}
+
+
+# --- the read and the walk ---------------------------------------------------
+
+
+def every_corpus():
+    """A seeded sample of each corpus above, as (corpus, text)."""
+    rng = random.Random(99)
+    for text in FIXTURES:
+        yield "fixture", text
+    for _ in range(300):
+        yield "printed", print_spec(random_spec(rng, allow_conflicts=True))
+    for k in range(600):
+        base = FIXTURES[k % len(FIXTURES)] if k % 3 == 0 else print_spec(
+            random_spec(rng, allow_conflicts=True)
+        )
+        yield "mutated", mutate(rng, base)
+    for _ in range(300):
+        yield "multi-pair", multi_pair_file(rng)
+    for k in range(300):
+        yield "read again", read_again_file(rng, k)
+    for text in large_files():
+        yield "large", text
+        yield "large mutated", mutate(rng, text)
+    for text in conflicted_grids():
+        yield "conflicted", text
+
+
+def test_no_clean_file_reaches_the_walk(monkeypatch):
+    walked = []
+    walk = dsl._walk
+    monkeypatch.setattr(dsl, "_walk", lambda text: walked.append(text) or walk(text))
+    counts = {"clean walked": 0, "finding read": 0, "walked": 0}
+    corpora = set()
+    for corpus, text in every_corpus():
+        corpora.add(corpus)
+        found = analyze_reference(text)[1]
+        walked.clear()
+        analyze(text)
+        counts["walked"] += len(walked)
+        if walked and not has_line_finding(found):
+            counts["clean walked"] += 1
+        if not walked and has_line_finding(found):
+            counts["finding read"] += 1
+    assert len(corpora) == 8
+    assert counts["clean walked"] == counts["finding read"] == 0
+    assert 800 < counts["walked"] < 1_100  # of 1,549 texts: both paths are taken often
+
+
+def test_a_refused_file_the_walk_finds_clean_is_an_error(monkeypatch):
+    monkeypatch.setattr(dsl, "_read", lambda text: None)
+    with pytest.raises(AssertionError, match="the walk finds nothing"):
+        analyze("agent A owns a\nclause a\n")
+    # A file the walk does find something in is answered as before.
+    assert analyze("agent A owns a\nclause a\nclause a\n")[1][0].code == "duplicate-clause"
 
 
 # --- validate -----------------------------------------------------------------
