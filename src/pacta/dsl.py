@@ -191,12 +191,7 @@ def _read(text: str) -> ContractSpec | None:
         block_owner: dict[str, str] = {}
         for start, end, name in reversed(list(zip(starts, starts[1:] + [len(heads)], agents))):
             block_owner.update(dict.fromkeys(heads[start:end], name))
-        # The 'owns' lists first, then the other heads in file order.
-        explicit_owner = owner
-        first_seen = dict.fromkeys(heads)
-        owner = dict(explicit_owner)
-        owner.update(zip(first_seen, map(block_owner.get, first_seen)))
-        owner.update(explicit_owner)
+        owner = block_owner | owner
 
     # --- declarations and names: once every event set and conflict names
     # only events and every payoff an agent, the events and agents are
@@ -562,11 +557,10 @@ def print_spec(spec: ContractSpec) -> str:
         if isinstance(payoff, GoalPayoff):
             lines.append(f"payoff {p} goal {{{' '.join(sorted(payoff.goal))}}}")
         else:
+            # A space sorts below every name character, so the joined texts
+            # sort as the lists of names would.
             for offers, requests in sorted(
-                (sorted(offers), sorted(requests)) for offers, requests in payoff.pairs
+                (" ".join(sorted(o)), " ".join(sorted(r))) for o, r in payoff.pairs
             ):
-                lines.append(
-                    f"payoff {p} offers {{{' '.join(offers)}}}"
-                    f" requests {{{' '.join(requests)}}}"
-                )
+                lines.append(f"payoff {p} offers {{{offers}}} requests {{{requests}}}")
     return "\n".join(lines) + "\n"

@@ -316,16 +316,12 @@ def _rules(value: ContractSpec | HornTheory) -> RuleIndex:
     a frozenset, so it can never go stale, and it lives and dies with the
     value: a new value, ``dataclasses.replace`` included, builds its own.
     Keeping it on the value, not in a table keyed by it, spares every lookup
-    a comparison of whole clause sets.  A spec whose theory view
-    (``logic.theory_of``) was taken shares that view's index, whichever of
-    the two asks first; the theory holds no reference back to the spec.
+    a comparison of whole clause sets.
     """
     kept = value.__dict__
     index = kept.get("_rule_index")
     if index is None:
-        theory = kept.get("_theory")
-        index = _rules(theory) if theory is not None else RuleIndex(value.clauses)
-        kept["_rule_index"] = index
+        index = kept["_rule_index"] = RuleIndex(value.clauses)
     return index
 
 

@@ -67,7 +67,8 @@ class HornTheory:
     clauses: frozenset[Clause]
 
     def __post_init__(self) -> None:
-        atoms, clauses = frozenset(self.atoms), frozenset(self.clauses)
+        atoms = _event_set(self.atoms, "HornTheory.atoms")
+        clauses = frozenset(self.clauses)
         bad = [c for c in clauses if c[0] not in atoms or not c[1] <= atoms]
         if bad:
             message = "clause for {!r} names atoms outside the theory: {}"
@@ -86,7 +87,7 @@ class HornTheory:
         Extra isolated atoms may be supplied via *atoms*.
         """
         cs = frozenset(clauses)
-        alphabet = set(atoms)
+        alphabet = set(_event_set(atoms, "the atoms argument"))
         for head, body, _ in cs:
             alphabet.add(head)
             alphabet |= body
@@ -98,9 +99,11 @@ def theory_of(spec: ContractSpec) -> HornTheory:
 
     A clause that names an undeclared event is refused, as ``HornTheory``
     refuses one that names an atom outside the theory.  The view is built
-    once per spec value and kept on it, and it shares the spec's one index
-    (``game._rules``), so game queries on the spec and logic queries on its
-    theory build one index between them."""
+    once per spec value and kept on it, and it is handed the spec's one
+    index (``game._rules``), built here if the spec has none yet, so game
+    queries on the spec and logic queries on its theory share one index,
+    whichever of the two asks first.  The theory holds no reference back to
+    the spec."""
     if spec.conflicts:
         raise PreconditionError(
             "only conflict-free specifications have a Horn theory reading"
@@ -108,8 +111,7 @@ def theory_of(spec: ContractSpec) -> HornTheory:
     theory = spec.__dict__.get("_theory")
     if theory is None:
         theory = HornTheory(atoms=spec.events, clauses=spec.clauses)
-        if "_rule_index" in spec.__dict__:
-            theory.__dict__["_rule_index"] = spec.__dict__["_rule_index"]
+        theory.__dict__["_rule_index"] = _rules(spec)
         spec.__dict__["_theory"] = theory
     return theory
 

@@ -152,7 +152,7 @@ def circ(head: str, *body: str) -> Clause:
 
 def _event_set(events: Iterable[str], what: str) -> frozenset[str]:
     if isinstance(events, str):  # frozenset would split it into characters
-        raise TypeError(f"{what} is a string, not a set of events")
+        raise TypeError(f"{what} is a string, not a set of names")
     return frozenset(events)
 
 
@@ -223,7 +223,8 @@ class ContractSpec:
     other conflict is refused with a ``bad-conflict`` :class:`InvalidSpecError`);
     ``payoffs`` maps participants to a :data:`Payoff` (anything else is a
     ``bad-payoff`` error; several operations require totality).  The set fields are
-    stored as frozensets, whatever iterables they are given as; both
+    stored as frozensets, whatever iterables they are given as (a string,
+    which would split into characters, is refused with a ``TypeError``); both
     mappings are stored as read-only copies and left out of the hash, which
     the frozenset fields carry.  Tables derived from the fields are built on
     first use and kept on the value, so a new value builds its own.
@@ -237,7 +238,11 @@ class ContractSpec:
     payoffs: Mapping[str, Payoff] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
-        conflicts = frozenset(map(frozenset, self.conflicts))
+        if isinstance(self.conflicts, str):
+            raise TypeError("ContractSpec.conflicts is a string, not a set of pairs")
+        conflicts = frozenset(
+            _event_set(pair, "a pair of ContractSpec.conflicts") for pair in self.conflicts
+        )
         bad = sorted(sorted(pair) for pair in conflicts if len(pair) != 2)
         if bad:
             message = "conflict must involve exactly two events, got {}"
@@ -246,8 +251,10 @@ class ContractSpec:
         if bad:
             message = "payoff for {!r} is not a recognised reachability payoff"
             raise InvalidSpecError([Diagnostic("bad-payoff", message.format(p)) for p in bad])
-        object.__setattr__(self, "events", frozenset(self.events))
-        object.__setattr__(self, "participants", frozenset(self.participants))
+        object.__setattr__(self, "events", _event_set(self.events, "ContractSpec.events"))
+        object.__setattr__(
+            self, "participants", _event_set(self.participants, "ContractSpec.participants")
+        )
         object.__setattr__(self, "clauses", frozenset(self.clauses))
         object.__setattr__(self, "conflicts", conflicts)
         object.__setattr__(self, "owner", MappingProxyType(dict(self.owner)))
@@ -267,7 +274,7 @@ class ContractSpec:
         ``participants`` only needs entries that own no event (rare, but a
         payoff may belong to a purely observing party).
         """
-        parts = frozenset(owner.values()) | frozenset(participants)
+        parts = frozenset(owner.values()) | _event_set(participants, "the participants argument")
         return cls(
             events=frozenset(owner),
             participants=parts,

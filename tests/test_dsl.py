@@ -112,6 +112,9 @@ class TestOwnership:
     def test_explicit_owns_beats_a_later_block(self):
         spec = parse("agent A owns x\nagent B\nclause x\n")
         assert spec.owner == {"x": "A"}
+        # With a head no 'owns' list names, the blocks are read too.
+        spec = parse("agent A owns x\nagent B\nclause x\nclause y\n")
+        assert spec.owner == {"x": "A", "y": "B"}
 
     def test_agent_line_without_clauses_still_declares(self):
         spec = parse("agent A owns a\nagent Observer\nclause a\n")

@@ -31,6 +31,19 @@ from helpers import c3, delta1, delta2, delta3, delta4, e5, star_theory
 
 
 class TestHornTheory:
+    # frozenset("ab") would be the atoms {"a", "b"}.
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("HornTheory.atoms", lambda: HornTheory(atoms="ab", clauses={std("a")})),
+            ("the atoms argument", lambda: HornTheory.of([std("a")], atoms="xy")),
+        ],
+        ids=["atoms", "of-atoms"],
+    )
+    def test_a_string_set_of_atoms_is_refused(self, field, build):
+        with pytest.raises(TypeError, match=f"^{field} is a string"):
+            build()
+
     def test_of_derives_alphabet(self):
         th = HornTheory.of([std("b", "a"), circ("c", "b")])
         assert th.atoms == frozenset({"a", "b", "c"})
@@ -95,6 +108,26 @@ class TestHornTheory:
         assert theory_of(twin) == theory_of(spec_first)
         assert theory_of(twin) is not theory_of(spec_first)
         assert _rules(theory_of(twin)) is not _rules(spec_first)
+
+    @pytest.mark.parametrize("first", ["theory", "spec"])
+    def test_taking_the_view_builds_the_specs_one_index(self, monkeypatch, first):
+        builds = []
+        build = RuleIndex.__init__
+
+        def counted(self, clauses):
+            builds.append(clauses)
+            build(self, clauses)
+
+        monkeypatch.setattr(RuleIndex, "__init__", counted)
+        spec = c3()
+        if first == "theory":
+            theory = theory_of(spec)
+            assert len(builds) == 1  # taking the view builds the spec's index
+            assert _rules(theory) is _rules(spec)
+        else:
+            index = _rules(spec)
+            assert _rules(theory_of(spec)) is index
+        assert len(builds) == 1
 
     def test_a_kept_theory_holds_no_reference_cycle(self):
         was_enabled = gc.isenabled()

@@ -251,6 +251,38 @@ class TestContractSpec:
                 ("bad-conflict", message)
             ]
 
+    # Each string would be split into characters: frozenset("Ann") is
+    # {"A", "n"}, and the whole spec would be accepted, by validate too.
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            (
+                "ContractSpec.events",
+                lambda: ContractSpec("ab", {"T"}, {"a": "T", "b": "T"}, frozenset()),
+            ),
+            (
+                "ContractSpec.participants",
+                lambda: ContractSpec({"a"}, "T", {"a": "T"}, frozenset()),
+            ),
+            (
+                "ContractSpec.conflicts",
+                lambda: ContractSpec({"a", "b"}, {"T"}, {"a": "T", "b": "T"}, (), "ab"),
+            ),
+            (
+                "a pair of ContractSpec.conflicts",
+                lambda: ContractSpec.of({"a": "T", "b": "T"}, conflicts=["ab"]),
+            ),
+            (
+                "the participants argument",
+                lambda: ContractSpec.of({"a": "Tom"}, participants="Ann"),
+            ),
+        ],
+        ids=["events", "participants", "conflicts", "conflict-pair", "of-participants"],
+    )
+    def test_a_string_set_field_is_refused(self, field, build):
+        with pytest.raises(TypeError, match=f"^{field} is a string"):
+            build()
+
     def test_mappings_are_read_only_copies(self):
         owner = {"a": "A", "b": "B"}
         spec = ContractSpec.of(owner=owner, payoffs={"A": GoalPayoff(frozenset({"b"}))})
