@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from itertools import chain, compress, repeat
-from operator import not_
+from operator import itemgetter, not_
 
 from .model import (
     CIRCULAR,
@@ -525,11 +525,15 @@ def parse(text: str) -> ContractSpec:
     return spec
 
 
-_KIND_ORDER = {STANDARD: 0, CIRCULAR: 1}
-
-
 def print_spec(spec: ContractSpec) -> str:
-    """Render a valid spec canonically; the result parses back equal."""
+    """Render a valid spec canonically; the result parses back equal.
+
+    Lines come in this order: agents by name, clauses by head and then
+    standard before circular and by body, conflicts, and payoffs by
+    participant and then by offers and requests.  A body, goal, offer or
+    request is ordered as the sorted list of its names, a list before any
+    it begins.
+    """
     lines: list[str] = []
     owned: dict[str, list[str]] = {}
     for e, p in spec.owner.items():
@@ -538,29 +542,47 @@ def print_spec(spec: ContractSpec) -> str:
         events = sorted(owned.get(p, ()))
         suffix = f" owns {' '.join(events)}" if events else ""
         lines.append(f"agent {p}{suffix}")
-    # The first three fields differ between distinct clauses, so the kind
-    # itself is never compared; each body is sorted once.
-    for head, _, body, kind in sorted(
-        (head, _KIND_ORDER[kind], sorted(body), kind) for head, body, kind in spec.clauses
-    ):
-        arrow = "<-" if kind == STANDARD else "<<-"
-        if body:
-            lines.append(f"clause {head} {arrow} {', '.join(body)}")
-        elif kind == STANDARD:
-            lines.append(f"clause {head}")
+
+    # Each distinct event set -> its names, sorted and joined by spaces.  A
+    # space sorts below every character a name holds (", " does not: the
+    # "!" and "$" of encode_urgency's tags sort below ","), so these texts
+    # sort as the lists of names do, and a body's text is its printed one
+    # with ", " for each space.  Each table is dropped once used: kept, they
+    # raise the peak memory of printing a large grid above the old sort's.
+    sets = set(map(itemgetter(1), spec.clauses))
+    for payoff in spec.payoffs.values():
+        if isinstance(payoff, GoalPayoff):
+            sets.add(payoff.goal)
         else:
-            lines.append(f"clause {head} {arrow} true")
+            sets.update(chain.from_iterable(payoff.pairs))
+    text = dict(zip(sets, map(" ".join, map(sorted, sets))))
+    del sets
+
+    standard: defaultdict[str, list[str]] = defaultdict(list)
+    circular: defaultdict[str, list[str]] = defaultdict(list)
+    for head, body, kind in spec.clauses:
+        (standard if kind == STANDARD else circular)[head].append(text[body])
+    for head in sorted(standard.keys() | circular.keys()):
+        # A head's empty body, if it has one, is the text "" and sorts first.
+        bodies = sorted(standard.get(head, ()))
+        if bodies and not bodies[0]:
+            lines.append(f"clause {head}")
+            del bodies[0]
+        lines += [f"clause {head} <- {body.replace(' ', ', ')}" for body in bodies]
+        bodies = sorted(circular.get(head, ()))
+        if bodies and not bodies[0]:
+            bodies[0] = "true"
+        lines += [f"clause {head} <<- {body.replace(' ', ', ')}" for body in bodies]
+    del standard, circular
+
     for pair in sorted(spec.conflicts, key=sorted):
         lines.append(f"conflict {' '.join(sorted(pair))}")
     for p in sorted(spec.payoffs):
         payoff = spec.payoffs[p]
         if isinstance(payoff, GoalPayoff):
-            lines.append(f"payoff {p} goal {{{' '.join(sorted(payoff.goal))}}}")
+            lines.append(f"payoff {p} goal {{{text[payoff.goal]}}}")
         else:
-            # A space sorts below every name character, so the joined texts
-            # sort as the lists of names would.
-            for offers, requests in sorted(
-                (" ".join(sorted(o)), " ".join(sorted(r))) for o, r in payoff.pairs
-            ):
+            for offers, requests in sorted([(text[o], text[r]) for o, r in payoff.pairs]):
                 lines.append(f"payoff {p} offers {{{offers}}} requests {{{requests}}}")
+    del text
     return "\n".join(lines) + "\n"

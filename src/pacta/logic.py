@@ -47,6 +47,7 @@ from .model import (
     InvalidSpecError,
     PreconditionError,
     _clause_key,
+    _clause_set,
     _event_set,
     is_reserved_name,
 )
@@ -68,7 +69,7 @@ class HornTheory:
 
     def __post_init__(self) -> None:
         atoms = _event_set(self.atoms, "HornTheory.atoms")
-        clauses = frozenset(self.clauses)
+        clauses = _clause_set(self.clauses, "HornTheory.clauses")
         bad = [c for c in clauses if c[0] not in atoms or not c[1] <= atoms]
         if bad:
             message = "clause for {!r} names atoms outside the theory: {}"
@@ -86,7 +87,7 @@ class HornTheory:
 
         Extra isolated atoms may be supplied via *atoms*.
         """
-        cs = frozenset(clauses)
+        cs = _clause_set(clauses, "the clauses argument")
         alphabet = set(_event_set(atoms, "the atoms argument"))
         for head, body, _ in cs:
             alphabet.add(head)

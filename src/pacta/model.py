@@ -156,6 +156,12 @@ def _event_set(events: Iterable[str], what: str) -> frozenset[str]:
     return frozenset(events)
 
 
+def _clause_set(clauses: Iterable[Clause], what: str) -> frozenset[Clause]:
+    if isinstance(clauses, str):  # frozenset would split it into characters
+        raise TypeError(f"{what} is a string, not a set of clauses")
+    return frozenset(clauses)
+
+
 @dataclass(frozen=True)
 class GoalPayoff:
     """Participant is satisfied once every goal event has happened."""
@@ -187,6 +193,8 @@ class OfferRequestPayoff:
     pairs: frozenset[tuple[frozenset[str], frozenset[str]]]
 
     def __post_init__(self) -> None:
+        if isinstance(self.pairs, str):
+            raise TypeError("OfferRequestPayoff.pairs is a string, not a set of pairs")
         # A side that is a frozenset already, as a loaded one is, is kept.
         pairs = frozenset(
             (
@@ -255,7 +263,7 @@ class ContractSpec:
         object.__setattr__(
             self, "participants", _event_set(self.participants, "ContractSpec.participants")
         )
-        object.__setattr__(self, "clauses", frozenset(self.clauses))
+        object.__setattr__(self, "clauses", _clause_set(self.clauses, "ContractSpec.clauses"))
         object.__setattr__(self, "conflicts", conflicts)
         object.__setattr__(self, "owner", MappingProxyType(dict(self.owner)))
         object.__setattr__(self, "payoffs", MappingProxyType(dict(self.payoffs)))

@@ -33,6 +33,7 @@ from pacta import (
     std,
 )
 from pacta.game import _rules
+from pacta.gen import MAX_SHY_DANCERS_N, _event, _guest, _neighbours
 from pacta.model import NAME_RE, RESERVED_WORDS, is_reserved_name
 from pacta.oracle import _bodies_by_head, _final_credits
 
@@ -738,6 +739,84 @@ def validate_reference(spec: ContractSpec) -> list[Diagnostic]:
                 bad("unknown-event", f"payoff for {p!r} mentions undeclared event {e!r}")
 
     return out
+
+
+# --- references for the printer and the generator -----------------------------
+
+
+_KIND_ORDER = {STANDARD: 0, CIRCULAR: 1}
+
+
+def print_spec_reference(spec: ContractSpec) -> str:
+    """``dsl.print_spec`` as it was before it sorted each distinct set once
+    and each head's bodies as texts: one sort of ``(head, kind, sorted body)``
+    tuples.  The reference ``print_spec`` is checked against."""
+    lines: list[str] = []
+    owned: dict[str, list[str]] = {}
+    for e, p in spec.owner.items():
+        owned.setdefault(p, []).append(e)
+    for p in sorted(spec.participants):
+        events = sorted(owned.get(p, ()))
+        suffix = f" owns {' '.join(events)}" if events else ""
+        lines.append(f"agent {p}{suffix}")
+    # The first three fields differ between distinct clauses, so the kind
+    # itself is never compared; each body is sorted once.
+    for head, _, body, kind in sorted(
+        (head, _KIND_ORDER[kind], sorted(body), kind) for head, body, kind in spec.clauses
+    ):
+        arrow = "<-" if kind == STANDARD else "<<-"
+        if body:
+            lines.append(f"clause {head} {arrow} {', '.join(body)}")
+        elif kind == STANDARD:
+            lines.append(f"clause {head}")
+        else:
+            lines.append(f"clause {head} {arrow} true")
+    for pair in sorted(spec.conflicts, key=sorted):
+        lines.append(f"conflict {' '.join(sorted(pair))}")
+    for p in sorted(spec.payoffs):
+        payoff = spec.payoffs[p]
+        if isinstance(payoff, GoalPayoff):
+            lines.append(f"payoff {p} goal {{{' '.join(sorted(payoff.goal))}}}")
+        else:
+            # A space sorts below every name character, so the joined texts
+            # sort as the lists of names would.
+            for offers, requests in sorted(
+                (" ".join(sorted(o)), " ".join(sorted(r))) for o, r in payoff.pairs
+            ):
+                lines.append(f"payoff {p} offers {{{offers}}} requests {{{requests}}}")
+    return "\n".join(lines) + "\n"
+
+
+def shy_dancers_reference(n: int, circular=None) -> ContractSpec:
+    """``gen.shy_dancers`` as it was before it built its clauses with
+    ``tuple.__new__`` and handed each payoff a frozenset: one ``Clause`` call
+    per clause and a tuple of pairs per payoff.  The reference
+    ``shy_dancers`` is checked against."""
+    if n < 2:
+        raise PreconditionError("shy_dancers needs n >= 2")
+    if n > MAX_SHY_DANCERS_N:
+        raise PreconditionError(f"shy_dancers takes n <= {MAX_SHY_DANCERS_N}, got {n}")
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    if circular is None:
+        circular_cells = set(cells)
+    else:
+        circular_cells = set(circular)
+        stray = sorted(circular_cells.difference(cells))
+        if stray:
+            raise PreconditionError(f"cells outside the {n}x{n} grid: {stray}")
+
+    owner = {_event(c): _guest(c) for c in cells}
+    clauses: list[Clause] = []
+    payoffs: dict[str, OfferRequestPayoff] = {}
+    for cell in cells:
+        kind = CIRCULAR if cell in circular_cells else STANDARD
+        neighbour_events = sorted(_event(nb) for nb in _neighbours(cell, n))
+        # One frozenset per pair, shared by the clause and the payoff pair.
+        pairs = [frozenset(pair) for pair in itertools.combinations(neighbour_events, 2)]
+        event = _event(cell)
+        clauses.extend(Clause(event, pair, kind) for pair in pairs)
+        payoffs[_guest(cell)] = OfferRequestPayoff(tuple((pair, pair) for pair in pairs))
+    return ContractSpec.of(owner=owner, clauses=clauses, payoffs=payoffs)
 
 
 # --- exhaustive families and random generators ------------------------------

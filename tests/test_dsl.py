@@ -13,6 +13,7 @@ from pacta import (
     ParseError,
     analyze,
     circ,
+    encode_urgency,
     parse,
     print_spec,
     shy_dancers,
@@ -22,6 +23,7 @@ from pacta import (
 )
 
 from helpers import (
+    DATA,
     c1,
     c2,
     c3,
@@ -33,7 +35,9 @@ from helpers import (
     delta4,
     e5,
     or_payoffs_spec,
+    print_spec_reference,
     random_spec,
+    random_theory,
     read,
     star_spec,
 )
@@ -275,6 +279,66 @@ class TestPrinter:
         assert shuffled != text
         assert parse(shuffled) == parse(text)
         assert print_spec(parse(shuffled)) == text
+
+
+class TestPrinterMatchesTheReference:
+    """``print_spec`` sorts each distinct set once and each head's bodies as
+    texts; ``helpers.print_spec_reference`` sorts ``(head, kind, sorted
+    body)`` tuples.  Both write the same bytes."""
+
+    def assert_same(self, spec):
+        assert print_spec(spec) == print_spec_reference(spec), spec
+
+    def test_fixtures_and_random_specs_with_conflicts(self):
+        for path in sorted(DATA.glob("*.ces")):
+            if path.name != "broken.ces":
+                self.assert_same(parse(read(path.name)))
+        for spec in (c1(), c2(), c3(), c4(), e5(), star_spec(), or_payoffs_spec(),
+                     delta2_contract(), spec_of(delta3(), "T")):
+            self.assert_same(spec)
+        rng = random.Random(2611)
+        specs = [random_spec(rng, max_events=7, allow_conflicts=True) for _ in range(2_000)]
+        assert sum(bool(spec.conflicts) for spec in specs) > 500
+        for spec in specs:
+            self.assert_same(spec)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_grids(self, n):
+        for cells in ([], [(1, 1), (1, 2), (2, 1), (2, 2)], None):
+            self.assert_same(shy_dancers(n, cells))
+
+    def test_urgency_encodings(self):
+        # Their names hold "!" and "$", which sort below ", ".  No such name
+        # here is another's prefix, so the order that a ", " key would break
+        # is pinned by the hand-written spec below.
+        rng = random.Random(2612)
+        for _ in range(300):
+            self.assert_same(spec_of(encode_urgency(random_theory(rng, max_atoms=7))))
+
+    def test_empty_bodies_goals_and_pair_payoffs(self):
+        fs = frozenset
+        owner = {e: "A" for e in ("a", "a_b", "c", "d")} | {"a!b": "B", "a$c": "B"}
+        spec = ContractSpec.of(
+            owner=owner,
+            clauses=[
+                std("a"), circ("a"), std("a", "c"), circ("a", "c", "d"), circ("a", "d"),
+                std("c", "a", "d"), std("c", "a!b"), std("c", "a_b"), std("c", "a$c", "d"),
+                circ("d"), std("d", "a"),
+            ],
+            payoffs={
+                "A": GoalPayoff(fs()),
+                "B": OfferRequestPayoff((
+                    (fs({"a", "d"}), fs({"c"})), (fs({"a!b"}), fs()), (fs({"a"}), fs({"d"})),
+                    (fs({"a"}), fs({"c", "d"})), (fs(), fs({"a$c"})),
+                )),
+                "C": GoalPayoff(fs({"d", "a!b", "a"})),
+            },
+        )
+        text = print_spec(spec)
+        # Sorted as lists of names, {a, d} comes before {a!b}: "a, d" would not.
+        assert "clause c <- a, d\nclause c <- a!b\nclause c <- a$c, d\nclause c <- a_b\n" in text
+        assert "clause a\nclause a <- c\nclause a <<- true\nclause a <<- c, d\n" in text
+        assert text == print_spec_reference(spec)
 
 
 class TestRoundTrip:

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -16,6 +17,8 @@ from pacta import (
 )
 from pacta import gen
 from pacta.gen import MAX_SHY_DANCERS_N, _neighbours
+
+from helpers import shy_dancers_reference
 
 
 class TestNeighbourhoods:
@@ -109,6 +112,35 @@ class TestShyDancers:
             shy_dancers(MAX_SHY_DANCERS_N + 1)
         with pytest.raises(AssertionError, match="being built"):
             shy_dancers(MAX_SHY_DANCERS_N)  # the cap itself is built
+
+
+class TestMatchesTheReference:
+    """``shy_dancers`` builds its clauses with ``tuple.__new__`` and hands
+    each payoff a frozenset; ``helpers.shy_dancers_reference`` calls
+    ``Clause`` per clause and hands each payoff a tuple.  Both build the same
+    spec, printed the same."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_equal_specs_and_printed_text(self, n):
+        rng = random.Random(n)
+        cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        chosen = [None, [], [(1, 1), (1, 2), (2, 1), (2, 2)]]
+        chosen += [rng.sample(cells, rng.randint(1, len(cells))) for _ in range(3)]
+        for circular in chosen:
+            spec, want = shy_dancers(n, circular), shy_dancers_reference(n, circular)
+            assert spec == want
+            assert print_spec(spec) == print_spec(want)
+
+    @pytest.mark.parametrize(
+        "n, circular",
+        [(1, None), (0, []), (MAX_SHY_DANCERS_N + 1, None), (3, [(0, 2)]), (3, [(1, 4), (4, 4)])],
+    )
+    def test_the_same_precondition_errors(self, n, circular):
+        with pytest.raises(PreconditionError) as want:
+            shy_dancers_reference(n, circular)
+        with pytest.raises(PreconditionError) as got:
+            shy_dancers(n, circular)
+        assert str(got.value) == str(want.value)
 
 
 class TestPartyDynamics:

@@ -31,14 +31,16 @@ from helpers import c3, delta1, delta2, delta3, delta4, e5, star_theory
 
 
 class TestHornTheory:
-    # frozenset("ab") would be the atoms {"a", "b"}.
+    # frozenset("ab") would be the atoms {"a", "b"}, or the clauses "a" and "b".
     @pytest.mark.parametrize(
         "field, build",
         [
             ("HornTheory.atoms", lambda: HornTheory(atoms="ab", clauses={std("a")})),
             ("the atoms argument", lambda: HornTheory.of([std("a")], atoms="xy")),
+            ("HornTheory.clauses", lambda: HornTheory(atoms={"a"}, clauses="ab")),
+            ("the clauses argument", lambda: HornTheory.of("ab")),
         ],
-        ids=["atoms", "of-atoms"],
+        ids=["atoms", "of-atoms", "clauses", "of-clauses"],
     )
     def test_a_string_set_of_atoms_is_refused(self, field, build):
         with pytest.raises(TypeError, match=f"^{field} is a string"):

@@ -149,6 +149,10 @@ class TestPayoffs:
         with pytest.raises(TypeError, match="request"):
             OfferRequestPayoff(((fs("a"), fs("b")), (fs("c"), "de")))
 
+    def test_a_string_of_pairs_is_refused(self):
+        with pytest.raises(TypeError, match="^OfferRequestPayoff.pairs is a string"):
+            OfferRequestPayoff("ab")
+
     def test_pairs_are_canonicalized(self):
         fs = frozenset
         p1 = OfferRequestPayoff(((fs({"a"}), fs({"b"})), (fs({"c"}), fs({"d"}))))
@@ -276,8 +280,21 @@ class TestContractSpec:
                 "the participants argument",
                 lambda: ContractSpec.of({"a": "Tom"}, participants="Ann"),
             ),
+            (
+                "ContractSpec.clauses",
+                lambda: ContractSpec({"a"}, {"T"}, {"a": "T"}, "a"),
+            ),
+            ("ContractSpec.clauses", lambda: ContractSpec.of({"a": "T"}, clauses="a")),
         ],
-        ids=["events", "participants", "conflicts", "conflict-pair", "of-participants"],
+        ids=[
+            "events",
+            "participants",
+            "conflicts",
+            "conflict-pair",
+            "of-participants",
+            "clauses",
+            "of-clauses",
+        ],
     )
     def test_a_string_set_field_is_refused(self, field, build):
         with pytest.raises(TypeError, match=f"^{field} is a string"):
