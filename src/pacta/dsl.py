@@ -23,13 +23,16 @@ as an alias for ``<<-`` on input; the printer always emits ``<-``/``<<-``.
 The printer output is canonical (everything sorted, ownership explicit) and
 parses back to an equal specification.
 
-Loading reads, then walks.  :func:`analyze` first reads the file in bulk:
-one pass over the lines splits each one and files its text by directive,
-and every line check then runs once over what was collected (all distinct
-names in one match, each distinct clause body and payoff form once,
-ownership and declarations as dict and set operations).  Only a file that
-fails a check is walked line by line, and the walk only names the
-findings, each at its line.  The read makes every check of
+The format has one grammar, and each of its rules is written once: the
+comment and directive split of a line (:func:`_lines`, :func:`_file`), the
+arrow that splits a clause (:func:`_split_clauses`), the names of a body
+(:func:`_body_names`) and the sides of a payoff form (:func:`_form`).
+:func:`analyze` files each line's text and number by directive, and the
+read makes every line check once over the filed texts (all distinct names
+in one match, each distinct clause body and payoff form once, ownership
+and declarations as dict and set operations).  A file that fails a check
+is filed again, and the findings pass splits its lines by the same rules
+and names each finding at its line.  The read makes every check of
 :func:`~pacta.model.validate` but the clause-against-conflict one, so that
 one alone runs on the spec it builds, and only when the file has
 conflicts.  A loaded spec holds one frozenset per distinct event set,
@@ -39,9 +42,11 @@ shared by the clause bodies and payoff pairs that hold it.
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from collections import defaultdict
-from itertools import chain, compress, repeat
-from operator import itemgetter, not_
+from collections.abc import Iterable, Iterator
+from itertools import chain, repeat
+from operator import add, attrgetter, itemgetter
 
 from .model import (
     CIRCULAR,
@@ -80,34 +85,35 @@ _PAYOFF_RE = re.compile(
 )
 _PAIR_RE = re.compile(r"offers\s*\{([^{}]*)\}\s*requests\s*\{([^{}]*)\}", re.A)
 
+_DIRECTIVES = ("agent", "clause", "conflict", "payoff")
+# The arrows of a clause line, each with the kind of clause it makes.
+_ARROW_KINDS = {"<<-": CIRCULAR, "↠": CIRCULAR, "<-": STANDARD}
+# The clause body texts that name no event.
+_NO_NAMES = {"": (), "true": ()}
 
-def _body_names(body_text: str) -> list[str]:
-    """The names of a clause body's text, in file order."""
-    body_text = body_text.strip()
-    if not body_text or body_text == "true":
-        return []
-    return list(map(str.strip, body_text.split(",")))
+# The filed lines of a file: each directive's line texts and line numbers.
+_Filed = dict[str, tuple[list[str], list[int]]]
 
 
 def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
     """Parse *text*, returning the spec or every problem found (never both).
 
-    The file is read, then walked only if the read refuses it.  The read
-    (:func:`_read`) files each line's text by directive and makes every
-    line check in bulk over the collected texts; it builds the spec of a
-    file that passes them all, and then only
+    The lines are filed by directive (:func:`_file`) and read in bulk
+    (:func:`_read`): each line check runs once over the filed texts, and a
+    file that passes them all becomes the spec.  Then only
     :func:`~pacta.model.conflicting_clauses` is asked about it: every other
     check of ``validate`` holds by construction (names passed ``NAME_RE``,
     every event has an owner that is a declared agent, and bodies,
-    conflicts and payoffs name only owned events and declared agents).
-    The walk (:func:`_walk`) reads a refused file line by line and names
-    each finding at its line; it builds no spec.
+    conflicts and payoffs name only owned events and declared agents).  The
+    read drops each file once it is read, so a file it refuses is filed
+    again: :func:`_findings` splits its lines by the same rules and names
+    each finding at its line, and builds no spec.
     """
-    spec = _read(text)
+    spec = _read(_file(_lines(text)))
     if spec is None:
-        diags = _walk(text)
+        diags = _findings(text)
         if not diags:
-            raise AssertionError("the read refused a file in which the walk finds nothing")
+            raise AssertionError("the read refused a file with no findings")
         return None, diags
     residual = [finding for _, finding in conflicting_clauses(spec)]
     if residual:
@@ -115,46 +121,102 @@ def analyze(text: str) -> tuple[ContractSpec | None, list[Diagnostic]]:
     return spec, []
 
 
-_CLAUSE_ARROW = {True: "<<-", False: "<-"}
-_CLAUSE_KIND = {True: CIRCULAR, False: STANDARD}
-_EMPTY_BODIES = frozenset({"", "true"})
+# --- the grammar: each rule of the format, used by the read and the findings
 
 
-def _read(text: str) -> ContractSpec | None:
-    """The spec of *text*, or None when a line check of :func:`_walk` would
-    find something.
+def _lines(text: str) -> list[str]:
+    """The lines of *text*, each cut at its first ``#``."""
+    lines = text.lstrip("\ufeff").splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    return lines
 
-    One loop splits each line and files its text by directive; the checks
-    then run over the filed texts, each distinct clause body and payoff
-    form once, and each filed text is dropped once it is read.
+
+def _file(lines: list[str]) -> _Filed:
+    """The text after the directive of each of the *lines*, and the line's
+    number, filed by directive.
+
+    A line's first word is its directive and the rest, from the next word
+    on, is its text.  A line with no word is skipped.  Each directive of
+    the format has a file, even when no line names it.
     """
-    clause_texts: list[str] = []
-    payoff_texts: list[str] = []
-    conflict_texts: list[str] = []
-    # (clause lines above it, text) of each agent line
-    agent_lines: list[tuple[int, str]] = []
-    # "↠" is "<<-" to the walk, which splits a clause at the first "<<-",
-    # else the first "↠", else the first "<-".  They split alike unless a
-    # line holds two arrows, and then both leave one where no name can be.
-    for line in text.lstrip("\ufeff").replace("↠", "<<-").splitlines():
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        parts = line.split(None, 1)
-        if not parts:
-            continue
-        if len(parts) == 1:  # a directive with nothing after it
-            return None
-        directive, rest = parts
-        if directive == "clause":
-            clause_texts.append(rest)
-        elif directive == "payoff":
-            payoff_texts.append(rest)
-        elif directive == "agent":
-            agent_lines.append((len(clause_texts), rest))
-        elif directive == "conflict":
-            conflict_texts.append(rest)
-        else:
-            return None
+    filed: _Filed = {directive: ([], []) for directive in _DIRECTIVES}
+    for number, words in enumerate(map(str.split, lines, repeat(None), repeat(1)), 1):
+        if words:
+            try:
+                texts, numbers = filed[words[0]]
+            except KeyError:  # an unknown directive
+                texts, numbers = filed[words[0]] = [], []
+            try:
+                texts.append(words[1])
+            except IndexError:  # a directive with nothing after it
+                texts.append("")
+            numbers.append(number)
+    return filed
+
+
+def _split_clauses(texts: list[str]) -> tuple[list[str], tuple[str, ...], list[str]]:
+    """The head, body text and kind of each clause text.
+
+    Of the arrows a text holds, the first of ``<<-``, ``↠`` and ``<-`` in
+    that order splits it; a text with none is all head.
+    """
+    arrows = ["<<-" if "<<-" in text else "↠" if "↠" in text else "<-" for text in texts]
+    head_texts, _, bodies = zip(*map(str.partition, texts, arrows)) if texts else ((), (), ())
+    return list(map(str.strip, head_texts)), bodies, list(map(_ARROW_KINDS.__getitem__, arrows))
+
+
+def _body_names(texts: Iterable[str]) -> Iterator[Iterable[str]]:
+    """The names of each clause body text, in order: none for a blank body
+    or ``true``, else each comma-separated entry, stripped."""
+    stripped = list(map(str.strip, texts))
+    entries = map(str.split, stripped, repeat(","))
+    return map(_NO_NAMES.get, stripped, map(map, repeat(str.strip), entries))
+
+
+def _form(text: str) -> tuple[bool, list[list[str]]] | None:
+    """Whether a payoff's form text is a goal, and the names of the goal or
+    of each offers/requests pair's two sides in turn; None when *text* is
+    neither form."""
+    match = _PAYOFF_RE.fullmatch(text.strip())
+    if match is None:
+        return None
+    goal, offers, requests, more = match.groups()
+    if goal is not None:
+        return True, [goal.split()]
+    sides = [offers.split(), requests.split()]
+    if more:
+        sides += map(str.split, chain.from_iterable(_PAIR_RE.findall(more)))
+    return False, sides
+
+
+def _block_agents(
+    agent_numbers: list[int], agents: list[str], numbers: list[int]
+) -> list[str | None]:
+    """The agent of the block each of the lines *numbers* lies in: that of
+    the last agent line above it, and None above the first."""
+    block_of = [None, *agents]  # by the number of agent lines above
+    return list(map(block_of.__getitem__, map(bisect, repeat(agent_numbers), numbers)))
+
+
+# --- the read: a clean file's spec -------------------------------------------
+
+
+def _read(filed: _Filed) -> ContractSpec | None:
+    """The spec of the filed lines, or None when :func:`_findings` would
+    find something in them.
+
+    The checks run over the filed texts, each distinct clause body and
+    payoff form once, and each file is dropped once it is read.
+    """
+    if len(filed) > len(_DIRECTIVES):  # an unknown directive
+        return None
+    # Popped, so that each file goes once it is read; of the line numbers,
+    # only the clause and agent lines' are read, for the blocks.
+    clause_texts, clause_numbers = filed.pop("clause")
+    agent_texts, agent_numbers = filed.pop("agent")
+    payoff_texts = filed.pop("payoff")[0]
+    conflict_texts = filed.pop("conflict")[0]
 
     # One frozenset per distinct event set, shared by every clause body
     # and payoff that holds it.
@@ -163,19 +225,14 @@ def _read(text: str) -> ContractSpec | None:
     del clause_texts  # the line texts are most of what the read holds
     if len(clauses) < len(heads):  # a clause repeated
         return None
-    payoffs = _read_payoffs(payoff_texts, sets)
-    del payoff_texts
-    if payoffs is None:
-        return None
 
     # --- ownership: an event an 'owns' list names has that owner, and any
-    # other head takes the agent block of its first line, so it may not
-    # come above the first agent line.
+    # other head takes the agent of the block of its first line, so it may
+    # not come above the first agent line.
     agents: list[str] = []
     owner: dict[str, str] = {}
-    for _, rest in agent_lines:
-        tokens = rest.split()
-        if len(tokens) > 1 and (tokens[1] != "owns" or len(tokens) == 2):
+    for tokens in map(str.split, agent_texts):
+        if not tokens or len(tokens) > 1 and (tokens[1] != "owns" or len(tokens) == 2):
             return None
         name = tokens[0]
         owned = tokens[2:]
@@ -184,19 +241,22 @@ def _read(text: str) -> ContractSpec | None:
         owner.update(dict.fromkeys(owned, name))
         agents.append(name)
     if not all(map(owner.__contains__, heads)):
-        starts = [start for start, _ in agent_lines]
-        above = heads[: starts[0]] if starts else heads
-        if not all(map(owner.__contains__, above)):
+        blocks = _block_agents(agent_numbers, agents, clause_numbers)
+        # Each head's first line is the last one the dict takes.
+        owner = dict(zip(reversed(heads), reversed(blocks))) | owner
+        if None in owner.values():
             return None
-        block_owner: dict[str, str] = {}
-        for start, end, name in reversed(list(zip(starts, starts[1:] + [len(heads)], agents))):
-            block_owner.update(dict.fromkeys(heads[start:end], name))
-        owner = block_owner | owner
+    del clause_numbers
+
+    payoffs = _read_payoffs(payoff_texts, sets)
+    del payoff_texts
+    if payoffs is None:
+        return None
 
     # --- declarations and names: once every event set and conflict names
     # only events and every payoff an agent, the events and agents are
     # every name of the file.
-    conflicts = [rest.split() for rest in conflict_texts]
+    conflicts = list(map(str.split, conflict_texts))
     if any(len(pair) != 2 or pair[0] == pair[1] for pair in conflicts):
         return None
     events = owner.keys()
@@ -222,296 +282,217 @@ def _read(text: str) -> ContractSpec | None:
 
 
 def _read_clauses(texts: list[str], sets: dict) -> tuple[list[str], set[Clause]]:
-    """The head of each clause line's text, and the set of their clauses.
-
-    Each text is split as the walk splits it, and each distinct body text is
-    read once, as :func:`_body_names` reads it.
-    """
-    circular = list(map(str.__contains__, texts, repeat("<<-")))
-    split = map(str.partition, texts, map(_CLAUSE_ARROW.__getitem__, circular))
-    head_texts, _, body_texts = zip(*split) if texts else ((), (), ())
-    heads = list(map(str.strip, head_texts))
-    distinct = list(set(body_texts))
-    stripped = list(map(str.strip, distinct))
-    empty = list(map(_EMPTY_BODIES.__contains__, stripped))
-    full = list(map(not_, empty))
-    items = map(str.split, compress(stripped, full), repeat(","))
-    found = list(map(frozenset, map(map, repeat(str.strip), items)))
-    body_of = dict.fromkeys(compress(distinct, empty), frozenset())
-    body_of.update(zip(compress(distinct, full), map(sets.setdefault, found, found)))
-    bodies = map(body_of.__getitem__, body_texts)
-    kinds = map(_CLAUSE_KIND.__getitem__, circular)
+    """The head of each clause text, and the set of their clauses; each
+    distinct body text is read once."""
+    heads, bodies, kinds = _split_clauses(texts)
+    distinct = list(set(bodies))
+    found = list(map(frozenset, _body_names(distinct)))
+    body_of = dict(zip(distinct, map(sets.setdefault, found, found)))
+    bodies = map(body_of.__getitem__, bodies)
     return heads, set(map(tuple.__new__, repeat(Clause), zip(heads, bodies, kinds)))
 
 
 def _read_payoffs(texts: list[str], sets: dict) -> dict[str, Payoff] | None:
-    """The payoff of each participant of the payoff lines' texts, or None.
-
-    Each distinct form text is read once.
-    """
-    form_of: dict[str, tuple[frozenset[str] | None, list]] = {}
-    forms: defaultdict[str, list[tuple[frozenset[str] | None, list]]] = defaultdict(list)
+    """The payoff of each participant of the payoff texts, or None; each
+    distinct form text is read once."""
+    # form text -> (is a goal, the event set of each side) of each distinct one
+    form_of: dict[str, tuple[bool, list[frozenset[str]]]] = {}
+    forms: defaultdict[str, list[tuple[bool, list[frozenset[str]]]]] = defaultdict(list)
     try:
         for name, form_text in map(str.split, texts, repeat(None), repeat(1)):
             form = form_of.get(form_text)
             if form is None:
-                form = form_of[form_text] = _read_form(form_text.strip(), sets)
+                form = _form(form_text)
                 if form is None:
                     return None
+                is_goal, sides = form
+                found = list(map(frozenset, sides))
+                form = form_of[form_text] = is_goal, list(map(sets.setdefault, found, found))
             forms[name].append(form)
-    except ValueError:  # a payoff line with no form
+    except ValueError:  # a payoff text with no form
         return None
+    del form_of  # the form texts, before the payoffs' peak
     payoffs: dict[str, Payoff] = {}
     for name, read in forms.items():
-        goal = read[0][0]
-        if goal is not None:
+        if read[0][0]:
             if len(read) > 1:  # a second goal, or both forms
                 return None
-            payoffs[name] = GoalPayoff(goal)
-        elif any(other is not None for other, _ in read):
+            payoffs[name] = GoalPayoff(read[0][1][0])
+        elif any(map(itemgetter(0), read)):
             return None
         else:
-            pairs = frozenset(chain.from_iterable(pairs for _, pairs in read))
-            payoffs[name] = OfferRequestPayoff(pairs)
+            sides = chain.from_iterable(map(itemgetter(1), read))
+            payoffs[name] = OfferRequestPayoff(frozenset(zip(sides, sides)))
     return payoffs
 
 
-def _read_form(text: str, sets: dict) -> tuple[frozenset[str] | None, list] | None:
-    """(goal, []) or (None, pairs) for the form text of a payoff, or None."""
-    match = _PAYOFF_RE.fullmatch(text)
-    if match is None:
-        return None
-
-    def event_set(names: str) -> frozenset[str]:
-        found = frozenset(names.split())
-        return sets.setdefault(found, found)
-
-    goal_text, offers_text, requests_text, more = match.groups()
-    if goal_text is not None:
-        return event_set(goal_text), []
-    pair_texts = [(offers_text, requests_text)]
-    if more:
-        pair_texts += _PAIR_RE.findall(more)
-    return None, [(event_set(offers), event_set(requests)) for offers, requests in pair_texts]
+# --- the findings: a refused file's diagnostics ------------------------------
 
 
-def _walk(text: str) -> list[Diagnostic]:
+def _findings(text: str) -> list[Diagnostic]:
     """Every finding of the line checks on *text*, each at its line, in
-    the order :func:`analyze` reports them."""
+    the order :func:`analyze` reports them: those of single lines by line,
+    then heads above every agent, each clause's undeclared names and
+    repeats, and the undeclared names of conflicts, then those of payoffs
+    with their participant and form checks, each in line order."""
+    lines = _lines(text)
+    filed = _file(lines)
     diags: list[Diagnostic] = []
 
-    def report(code: str, message: str, lineno: int, col: int | None = None) -> None:
-        diags.append(Diagnostic(code, message, lineno, col))
+    def report(code: str, message: str, number: int, col: int | None = None) -> None:
+        diags.append(Diagnostic(code, message, number, col))
 
-    def good_name(token: str, lineno: int, line: str | None = None) -> bool:
-        """Check *token*; a finding gets the column of *token* in *line*, if given."""
+    def good_name(token: str, number: int, at_column: bool = False) -> bool:
+        """Check *token*; a finding gets the column of *token* in its line, if asked."""
         if NAME_RE.match(token):
             return True
-        col = None if line is None else line.index(token) + 1
-        report(_bad_name_code(token), f"{token!r} is not a valid name", lineno, col)
+        col = lines[number - 1].index(token) + 1 if at_column else None
+        report(_bad_name_code(token), f"{token!r} is not a valid name", number, col)
         return False
 
-    def read_body(body_text: str, lineno: int) -> frozenset[str] | None:
-        """The body of a clause as a set, or None."""
-        body = _body_names(body_text)
-        ok = True
-        for item in body:
-            if not item:
-                report("bad-clause", "empty entry in clause body", lineno)
-                ok = False
-            elif not good_name(item, lineno):
-                ok = False
-        return frozenset(body) if ok else None
+    # Lines alone: each directive's lines, in order, keeping those whose
+    # names are good for the checks across lines below.
+    agents: list[str] = []
+    agent_numbers: list[int] = []
+    explicit_owner: dict[str, str] = {}
+    for rest, number in zip(*filed.pop("agent")):
+        tokens = rest.split()
+        if not tokens:
+            report("bad-agent", "agent needs a name", number)
+            continue
+        name = tokens[0]
+        if not good_name(name, number, at_column=True):
+            continue
+        agents.append(name)
+        agent_numbers.append(number)
+        if len(tokens) > 1:
+            if tokens[1] != "owns" or len(tokens) == 2:
+                report("bad-agent", "expected 'owns' followed by events", number)
+                continue
+            for ev in tokens[2:]:
+                if not good_name(ev, number):
+                    continue
+                previous = explicit_owner.setdefault(ev, name)
+                if previous != name:
+                    report(
+                        "ownership-conflict",
+                        f"event {ev!r} already owned by {previous!r}",
+                        number,
+                    )
 
-    def read_form(spec_text: str, lineno: int) -> tuple[bool, list[frozenset[str]]] | None:
-        """Whether a payoff's form is a goal, and the events of the goal or of
-        each pair, or None."""
-        match = _PAYOFF_RE.fullmatch(spec_text)
-        if match is None:
+    # (line, head, body names, kind) of each clause line
+    clause_lines: list[tuple[int, str, list[str], str]] = []
+    texts, numbers = filed.pop("clause")
+    heads, bodies, kinds = _split_clauses(texts)
+    for number, head, names, kind in zip(numbers, heads, _body_names(bodies), kinds):
+        if not head or " " in head or "\t" in head:
+            report("bad-clause", "clause needs a single head event", number)
+            continue
+        if not good_name(head, number, at_column=True):
+            continue
+        names = list(names)
+        good = True
+        for item in names:
+            if not item:
+                report("bad-clause", "empty entry in clause body", number)
+                good = False
+            elif not good_name(item, number):
+                good = False
+        if good:
+            clause_lines.append((number, head, names, kind))
+
+    conflict_lines: list[tuple[int, list[str]]] = []
+    for rest, number in zip(*filed.pop("conflict")):
+        pair = rest.split()
+        if len(pair) != 2:
+            report("bad-conflict", "conflict needs exactly two events", number)
+            continue
+        if not all(map(good_name, pair, repeat(number))):
+            continue
+        if pair[0] == pair[1]:
+            report("self-conflict", f"event {pair[0]!r} cannot conflict with itself", number)
+            continue
+        conflict_lines.append((number, pair))
+
+    # (line, participant, uses the goal form, names of the goal or of each pair)
+    payoff_lines: list[tuple[int, str, bool, list[list[str]]]] = []
+    for rest, number in zip(*filed.pop("payoff")):
+        pieces = rest.split(None, 1)
+        if len(pieces) < 2:
+            report("bad-payoff", "payoff needs a participant and a form", number)
+            continue
+        name, form_text = pieces
+        if not good_name(name, number, at_column=True):
+            continue
+        form = _form(form_text)
+        if form is None:
             report(
                 "bad-payoff",
                 "expected 'goal {events}' or 'offers {events} requests {events}'",
-                lineno,
+                number,
             )
-            return None
-        goal_text, offers_text, requests_text, more = match.groups()
-        if goal_text is not None:
-            found = [goal_text.split()]
-        else:
-            pairs = [(offers_text, requests_text), *_PAIR_RE.findall(more)]
-            found = [offers.split() + requests.split() for offers, requests in pairs]
-        # Each goal or pair is checked up to its first bad name.
-        if not all([all(good_name(ev, lineno) for ev in names) for names in found]):
-            return None
-        return goal_text is not None, list(map(frozenset, found))
-
-    participants: set[str] = set()
-    explicit_owner: dict[str, str] = {}
-    clauses: set[tuple[str, frozenset[str], str]] = set()
-    # (head, body text, line, repeats an earlier clause)
-    clause_lines: list[tuple[str, str, int, bool]] = []
-    # (head, line, agent block active at that line) of heads not yet owned
-    unowned_heads: list[tuple[str, int, str | None]] = []
-    conflict_lines: list[tuple[str, str, int]] = []
-    # (participant, uses the goal form, events of the goal or of each pair, line)
-    payoff_lines: list[tuple[str, bool, list[frozenset[str]], int]] = []
-    active_agent: str | None = None
-
-    for lineno, line in enumerate(text.lstrip("\ufeff").splitlines(), start=1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        parts = line.split(None, 1)
-        if not parts:
             continue
-        directive = parts[0]
-        rest = parts[1] if len(parts) > 1 else ""
+        is_goal, sides = form
+        found = sides if is_goal else list(map(add, sides[::2], sides[1::2]))
+        # Each goal or pair is checked up to its first bad name.
+        if all([all(map(good_name, names, repeat(number))) for names in found]):
+            payoff_lines.append((number, name, is_goal, found))
 
-        # Clause and payoff lines are the bulk of a file: they are tested first.
-        if directive == "clause":
-            # Of the arrows present, the first of "<<-", "↠", "<-" in that
-            # order splits the line; with none, the whole line is the head.
-            if "<<-" in rest:
-                head_text, _, body_text = rest.partition("<<-")
-                kind = CIRCULAR
-            elif "↠" in rest:
-                head_text, _, body_text = rest.partition("↠")
-                kind = CIRCULAR
-            else:
-                head_text, _, body_text = rest.partition("<-")
-                kind = STANDARD
-            head_text = head_text.strip()
-            if not head_text or " " in head_text or "\t" in head_text:
-                report("bad-clause", "clause needs a single head event", lineno)
-                continue
-            if not good_name(head_text, lineno, line):
-                continue
-            body = read_body(body_text, lineno)
-            if body is None:
-                continue
-            size = len(clauses)
-            clauses.add((head_text, body, kind))
-            clause_lines.append((head_text, body_text, lineno, len(clauses) == size))
-            if head_text not in explicit_owner:
-                unowned_heads.append((head_text, lineno, active_agent))
+    for directive, (_, numbers) in filed.items():
+        for number in numbers:
+            report("unknown-directive", f"unknown directive {directive!r}", number)
+    diags.sort(key=attrgetter("line"))
 
-        elif directive == "payoff":
-            pieces = rest.split(None, 1)
-            name = pieces[0] if pieces else ""
-            spec_text = pieces[1].strip() if len(pieces) > 1 else ""
-            if not name or not spec_text:
-                report("bad-payoff", "payoff needs a participant and a form", lineno)
-                continue
-            if not good_name(name, lineno, line):
-                continue
-            form = read_form(spec_text, lineno)
-            if form is None:
-                continue
-            payoff_lines.append((name, *form, lineno))
-
-        elif directive == "agent":
-            tokens = rest.split()
-            if not tokens:
-                report("bad-agent", "agent needs a name", lineno)
-                continue
-            name = tokens[0]
-            if not good_name(name, lineno, line):
-                continue
-            participants.add(name)
-            active_agent = name
-            if len(tokens) > 1:
-                if tokens[1] != "owns" or len(tokens) == 2:
-                    report(
-                        "bad-agent",
-                        "expected 'owns' followed by events",
-                        lineno,
-                    )
-                    continue
-                for ev in tokens[2:]:
-                    if not good_name(ev, lineno):
-                        continue
-                    previous = explicit_owner.setdefault(ev, name)
-                    if previous != name:
-                        report(
-                            "ownership-conflict",
-                            f"event {ev!r} already owned by {previous!r}",
-                            lineno,
-                        )
-
-        elif directive == "conflict":
-            tokens = rest.split()
-            if len(tokens) != 2:
-                report("bad-conflict", "conflict needs exactly two events", lineno)
-                continue
-            if not all(good_name(t, lineno) for t in tokens):
-                continue
-            if tokens[0] == tokens[1]:
-                report("self-conflict", f"event {tokens[0]!r} cannot conflict with itself", lineno)
-                continue
-            conflict_lines.append((tokens[0], tokens[1], lineno))
-
-        else:
-            report("unknown-directive", f"unknown directive {directive!r}", lineno)
-
-    # --- ownership resolution -------------------------------------------
-    # A head owned when its line was read stays owned, so only the others
-    # are looked at again.
-    owner: dict[str, str] = dict(explicit_owner)
-    for head, lineno, agent in unowned_heads:
+    # Across lines: ownership first, as every check below needs the events.
+    owner = dict(explicit_owner)
+    blocks = _block_agents(agent_numbers, agents, [number for number, *_ in clause_lines])
+    for (number, head, _, _), agent in zip(clause_lines, blocks):
         if head in owner:
             continue
         if agent is None:
-            report(
-                "no-active-agent",
-                f"clause head {head!r} appears before any agent",
-                lineno,
-            )
+            report("no-active-agent", f"clause head {head!r} appears before any agent", number)
         else:
             owner[head] = agent
-    events = set(owner)
 
-    def undeclared(names, lineno: int, role: str) -> None:
+    def undeclared(names: Iterable[str], number: int, role: str) -> None:
         for ev in names:
-            if ev not in events:
+            if ev not in owner:
                 report(
                     "undeclared-event",
                     f"{role} uses {ev!r}, which is neither owned nor a clause head",
-                    lineno,
+                    number,
                 )
 
-    for head, body_text, lineno, repeated in clause_lines:
-        undeclared(_body_names(body_text), lineno, f"clause for {head!r}")
-        if repeated:
-            report("duplicate-clause", f"clause for {head!r} repeated", lineno)
+    seen: set[tuple[str, frozenset[str], str]] = set()
+    for number, head, names, kind in clause_lines:
+        undeclared(names, number, f"clause for {head!r}")
+        clause = (head, frozenset(names), kind)
+        if clause in seen:
+            report("duplicate-clause", f"clause for {head!r} repeated", number)
+        seen.add(clause)
 
-    for e1, e2, lineno in conflict_lines:
-        undeclared((e1, e2), lineno, "conflict")
+    for number, pair in conflict_lines:
+        undeclared(pair, number, "conflict")
 
-    payoff_form: dict[str, bool] = {}  # participant -> uses the goal form
+    participants = set(agents)
+    uses_goal: dict[str, bool] = {}
     with_goal: set[str] = set()
-    for participant, is_goal, found, lineno in payoff_lines:
+    for number, participant, is_goal, found in payoff_lines:
         if participant not in participants:
-            report(
-                "unknown-participant",
-                f"payoff for undeclared agent {participant!r}",
-                lineno,
-            )
+            report("unknown-participant", f"payoff for undeclared agent {participant!r}", number)
             continue
         for names in found:
-            undeclared(sorted(names), lineno, "payoff")
-        if payoff_form.setdefault(participant, is_goal) != is_goal:
+            undeclared(sorted(set(names)), number, "payoff")
+        if uses_goal.setdefault(participant, is_goal) != is_goal:
             report(
                 "mixed-payoff",
                 f"payoff for {participant!r} mixes goal and offers/requests forms",
-                lineno,
+                number,
             )
             continue
         if is_goal:
             if participant in with_goal:
-                report(
-                    "duplicate-goal",
-                    f"second goal payoff for {participant!r}",
-                    lineno,
-                )
+                report("duplicate-goal", f"second goal payoff for {participant!r}", number)
             with_goal.add(participant)
 
     return diags

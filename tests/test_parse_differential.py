@@ -6,8 +6,8 @@ conflict test and play check, kept verbatim.  The current ones must return
 the same spec and the same diagnostics: same codes, messages, lines, columns
 and order.  The corpus is
 every fixture, the printed form of seeded random specs, seeded line mutations
-of both, payoff lines of several pairs, large printed files and their
-mutations, and hand-built specs that no file can express.
+of both, payoff lines of several pairs, lines of random tokens, large printed
+files and their mutations, and hand-built specs that no file can express.
 """
 
 import random
@@ -87,7 +87,7 @@ def same_analysis(text: str) -> list:
     reference = analyze_reference(text)
     assert got == reference, text
     # The bulk read refuses exactly the files with a line finding.
-    assert (dsl._read(text) is None) == has_line_finding(reference[1]), text
+    assert (dsl._read(dsl._file(dsl._lines(text))) is None) == has_line_finding(reference[1]), text
     # analyze runs no full validate on the spec it builds: its line checks
     # must make every check validate makes.
     if got[0] is not None:
@@ -321,6 +321,70 @@ def test_clause_and_payoff_lines_read_again_match_the_reference():
         same_analysis(read_again_file(rng, k))
 
 
+# --- token soup ---------------------------------------------------------------
+#
+# Lines drawn from the tokens of the format and the characters that split
+# lines, words or names differently: each rule of the grammar, and above
+# all which arrow splits a clause line that holds two, meets text it was
+# not written for.
+
+SOUP_BASE = (
+    "agent A owns pay",
+    "agent B",
+    "clause ship <- pay",
+    "clause pay <<- ship",
+    "payoff A goal {ship}",
+    "payoff B offers {ship} requests {pay}",
+)
+
+SOUP_TOKENS = (
+    "agent", "clause", "conflict", "payoff", "owns", "goal", "offers", "requests",
+    "A", "B", "ship", "pay", "true",
+    "{", "}", ",", "#",
+    "<-", "<<-", "↠", "a↠b",
+    "\t", "\u00a0", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\r", "\ufeff",
+    "é", "R$a", "!x", "9x",
+)
+
+
+def soup_file(rng: random.Random) -> str:
+    """The base contract with 1-3 lines of random tokens, each inserted or
+    spliced into one of its lines."""
+    lines = list(SOUP_BASE)
+    for _ in range(rng.randint(1, 3)):
+        words = rng.choices(SOUP_TOKENS, k=rng.randint(1, 8))
+        if rng.random() < 0.75:
+            words.insert(0, rng.choice(SOUP_TOKENS[:4]))  # most lines start with a directive
+        soup = "".join(word + rng.choice((" ", " ", "")) for word in words)
+        i = rng.randrange(len(lines) + 1)
+        if i < len(lines) and rng.random() < 0.5:
+            at = rng.randrange(len(lines[i]) + 1)
+            lines[i] = lines[i][:at] + soup + lines[i][at:]
+        else:
+            lines.insert(i, soup)
+    return "\n".join(lines) + "\n"
+
+
+def test_token_soup_matches_the_reference():
+    rng = random.Random(4181)
+    seen = set()
+    for _ in range(5_000):
+        seen |= {d.code for d in same_analysis(soup_file(rng))}
+    assert {
+        "bad-agent",
+        "bad-clause",
+        "bad-conflict",
+        "bad-identifier",
+        "bad-payoff",
+        "no-active-agent",
+        "reserved-identifier",
+        "self-conflict",
+        "undeclared-event",
+        "unknown-directive",
+        "unknown-participant",
+    } <= seen
+
+
 # --- files at size ------------------------------------------------------------
 #
 # The loader's gains are on files of thousands of lines, where names repeat
@@ -361,7 +425,7 @@ def test_conflicted_grids_match_the_reference():
         assert found and {d.code for d in found} == {"conflicting-clause"}
 
 
-# --- the read and the walk ---------------------------------------------------
+# --- the read and the findings -----------------------------------------------
 
 
 def every_corpus():
@@ -387,32 +451,32 @@ def every_corpus():
         yield "conflicted", text
 
 
-def test_no_clean_file_reaches_the_walk(monkeypatch):
-    walked = []
-    walk = dsl._walk
-    monkeypatch.setattr(dsl, "_walk", lambda text: walked.append(text) or walk(text))
-    counts = {"clean walked": 0, "finding read": 0, "walked": 0}
+def test_no_clean_file_reaches_the_findings(monkeypatch):
+    refused = []
+    findings = dsl._findings
+    monkeypatch.setattr(dsl, "_findings", lambda text: refused.append(text) or findings(text))
+    counts = {"clean refused": 0, "finding read": 0, "refused": 0}
     corpora = set()
     for corpus, text in every_corpus():
         corpora.add(corpus)
         found = analyze_reference(text)[1]
-        walked.clear()
+        refused.clear()
         analyze(text)
-        counts["walked"] += len(walked)
-        if walked and not has_line_finding(found):
-            counts["clean walked"] += 1
-        if not walked and has_line_finding(found):
+        counts["refused"] += len(refused)
+        if refused and not has_line_finding(found):
+            counts["clean refused"] += 1
+        if not refused and has_line_finding(found):
             counts["finding read"] += 1
     assert len(corpora) == 8
-    assert counts["clean walked"] == counts["finding read"] == 0
-    assert 800 < counts["walked"] < 1_100  # of 1,549 texts: both paths are taken often
+    assert counts["clean refused"] == counts["finding read"] == 0
+    assert 800 < counts["refused"] < 1_100  # of 1,549 texts: both paths are taken often
 
 
-def test_a_refused_file_the_walk_finds_clean_is_an_error(monkeypatch):
-    monkeypatch.setattr(dsl, "_read", lambda text: None)
-    with pytest.raises(AssertionError, match="the walk finds nothing"):
+def test_a_refused_file_with_no_findings_is_an_error(monkeypatch):
+    monkeypatch.setattr(dsl, "_read", lambda filed: None)
+    with pytest.raises(AssertionError, match="refused a file with no findings"):
         analyze("agent A owns a\nclause a\n")
-    # A file the walk does find something in is answered as before.
+    # A file with a finding is answered as before.
     assert analyze("agent A owns a\nclause a\nclause a\n")[1][0].code == "duplicate-clause"
 
 
