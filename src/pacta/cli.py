@@ -236,7 +236,7 @@ def _cmd_gen(args: argparse.Namespace) -> Answer:
 
 def _cmd_oracle_prove(args: argparse.Namespace) -> Answer:
     theory = _theory(args)
-    provable = frozenset(a for a in theory.atoms if oracle.nd_provable(theory, a))
+    provable = oracle.nd_derivable(theory)
     return _set_answer("provable", provable)
 
 

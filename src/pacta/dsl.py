@@ -322,7 +322,7 @@ def _read_payoffs(texts: list[str], sets: dict) -> dict[str, Payoff] | None:
             return None
         else:
             sides = chain.from_iterable(map(itemgetter(1), read))
-            payoffs[name] = OfferRequestPayoff(frozenset(zip(sides, sides)))
+            payoffs[name] = OfferRequestPayoff._trusted(frozenset(zip(sides, sides)))
     return payoffs
 
 

@@ -86,5 +86,5 @@ def shy_dancers(n: int, circular: Iterable[Cell] | None = None) -> ContractSpec:
         # Built as the loader builds clauses: the kind is one of the two and
         # each body a frozenset, so Clause.__new__ has nothing to check.
         clauses += map(tuple.__new__, repeat(Clause), zip(repeat(head), pairs, repeat(kind)))
-        payoffs[owner[head]] = OfferRequestPayoff(frozenset(zip(pairs, pairs)))
+        payoffs[owner[head]] = OfferRequestPayoff._trusted(frozenset(zip(pairs, pairs)))
     return ContractSpec.of(owner=owner, clauses=clauses, payoffs=payoffs)

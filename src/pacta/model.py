@@ -205,6 +205,17 @@ class OfferRequestPayoff:
         )
         object.__setattr__(self, "pairs", pairs)
 
+    @classmethod
+    def _trusted(
+        cls, pairs: frozenset[tuple[frozenset[str], frozenset[str]]]
+    ) -> "OfferRequestPayoff":
+        """The payoff on *pairs*, kept as given: for the loader and the
+        generator, which build a frozenset of frozenset pairs, so
+        ``__post_init__`` would check and rebuild them for nothing."""
+        payoff = object.__new__(cls)
+        object.__setattr__(payoff, "pairs", pairs)
+        return payoff
+
     def holds(self, done: frozenset[str]) -> bool:
         if not all(req <= done for offer, req in self.pairs if offer <= done):
             return False

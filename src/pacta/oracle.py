@@ -3,27 +3,33 @@
 These are the arbiters the fast algorithms in :mod:`pacta.game` and
 :mod:`pacta.logic` are tested against:
 
-* :func:`nd_provable` — natural-deduction provability, following the
+* :func:`nd_provable` and :func:`nd_derivable` — natural-deduction
+  provability of one atom or of all, following the
   introduction/elimination rules directly (assumption sets grow for the
   premise of a circular implication);
-* :func:`traces_bruteforce` — the trace semantics computed by naive
-  saturation straight from the interleaving definition;
+* :func:`traces_bruteforce` — the trace semantics computed straight from
+  the interleaving definition, by semi-naive saturation: each rule meets
+  each trace once;
 * :func:`prudence_bruteforce` — prudence read off the game tree below the
   play: an event is prudent when, against arbitrary opponent behaviour, its
   owner can always bring its credits back without relying on anyone else.
 
 All three are exponential and raise :class:`~pacta.model.PreconditionError`
 before any search on inputs past their size guards: 12 atoms for the
-natural-deduction search (:func:`nd_provable`, :func:`nd_derivation`),
+natural-deduction search (:func:`nd_provable`, :func:`nd_derivable`,
+:func:`nd_derivation`),
 8 atoms for :func:`traces_bruteforce`, 6 events for :func:`prudence_table`
 and :func:`prudence_bruteforce`.  They exist to be obviously correct, not
-fast.  The prudence referee alone shares work: it solves the game tree's
+fast.  Two of them skip repeated work where an argument shows that no
+answer changes.  The trace referee applies each rule to each trace once,
+since each rule consumes one trace (the argument is in
+:func:`traces_bruteforce`).  The prudence referee solves the game tree's
 quotient by "same event set, same final ledger", whose classes have
 matching subtrees, so no entry changes (the argument is in
 :func:`prudence_table`); :func:`prudence_bruteforce` solves only the states
 below its play, which is exact because an entry reads nothing outside its
-play's subtree.  The tests also hold the table to a play-by-play version
-it replaced, and the lookup to the table.
+play's subtree.  The tests hold each of the two to the naive version it
+replaced, and the lookup to the table.
 """
 
 from __future__ import annotations
@@ -146,12 +152,19 @@ class _NdSearch:
         return Derivation(goal, rule, assumptions, premises, clause)
 
 
+def nd_derivable(
+    theory: HornTheory, assumptions: frozenset[str] = frozenset()
+) -> frozenset[str]:
+    """Every atom derivable from the theory under the given assumptions, the
+    assumptions included, from one search."""
+    return _NdSearch(theory).derivable(frozenset(assumptions))
+
+
 def nd_provable(
     theory: HornTheory, atom: str, assumptions: frozenset[str] = frozenset()
 ) -> bool:
     """Is *atom* derivable from the theory under the given assumptions?"""
-    search = _NdSearch(theory)
-    return atom in search.derivable(frozenset(assumptions))
+    return atom in nd_derivable(theory, assumptions)
 
 
 def nd_derivation(
@@ -210,8 +223,21 @@ def _insertions(tau: Trace, atom: str) -> set[Trace]:
 
 
 def traces_bruteforce(theory: HornTheory) -> frozenset[Trace]:
-    """Trace semantics by plain saturation, each fact-extended subtheory
-    saturated once per call.  Guarded at 8 atoms."""
+    """Trace semantics by semi-naive saturation of the interleaving
+    definition, each fact-extended subtheory saturated once per call.
+    Guarded at 8 atoms.
+
+    A theory's traces, given a set of facts, are the least set holding
+    ``()`` and closed under three rules: a standard clause or a fact whose
+    body a trace holds appends its head; a circular clause inserts its head
+    at each place of a trace of the theory with that head as one more fact,
+    when that trace holds its body.  Each rule consumes one trace, so the
+    least set is reached by applying each rule to each trace once, as soon
+    as the trace is found (semi-naive evaluation).  A circular head that is
+    not yet a fact reads the traces of a subtheory with strictly more facts,
+    saturated already, so those insertions are made once, up front.  A
+    circular head that is a fact reads this theory's own traces, so those
+    insertions join the extension of each new trace."""
     if len(theory.atoms) > 8:
         raise PreconditionError("traces_bruteforce supports at most 8 atoms")
     std_flat = [(body, head) for head, body, kind in theory.clauses if kind == STANDARD]
@@ -220,28 +246,26 @@ def traces_bruteforce(theory: HornTheory) -> frozenset[Trace]:
     @lru_cache(maxsize=None)
     def saturate(facts: frozenset[str]) -> set[Trace]:
         rules = std_flat + [(frozenset(), a) for a in facts]
+        # Adding an already-present fact changes nothing, so for these
+        # clauses the subtheory is this one.
+        own = [(body, head) for body, head in circ_flat if head in facts]
         traces: set[Trace] = {()}
-        changed = True
-        while changed:
-            changed = False
-            for sigma in list(traces):
-                have = set(sigma)
-                for body, head in rules:
-                    if head not in have and body <= have:
-                        grown = sigma + (head,)
-                        if grown not in traces:
-                            traces.add(grown)
-                            changed = True
-            for body, head in circ_flat:
-                # Adding an already-present fact changes nothing, so the
-                # subtheory is this one; otherwise it has strictly more facts.
-                sub = traces if head in facts else saturate(facts | {head})
-                for tau in list(sub):
+        for body, head in circ_flat:
+            if head not in facts:
+                for tau in saturate(facts | {head}):
                     if body <= set(tau):
-                        for merged in _insertions(tau, head):
-                            if merged not in traces:
-                                traces.add(merged)
-                                changed = True
+                        traces |= _insertions(tau, head)
+        new = list(traces)
+        while new:
+            sigma = new.pop()
+            have = set(sigma)
+            grown = {sigma + (head,) for body, head in rules if head not in have and body <= have}
+            for body, head in own:
+                if body <= have:
+                    grown |= _insertions(sigma, head)
+            grown -= traces
+            traces |= grown
+            new += grown
         return traces
 
     return frozenset(saturate(frozenset()))

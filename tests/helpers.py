@@ -13,6 +13,7 @@ import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -292,6 +293,49 @@ def credit_closure_by_passes(rules, done):
         if kept == grant:
             return closed
         grant = kept
+
+
+# --- reference for the trace referee -----------------------------------------
+
+
+def traces_bruteforce_reference(theory: HornTheory) -> frozenset[tuple[str, ...]]:
+    """``oracle.traces_bruteforce`` as it was before it saturated
+    semi-naively: every pass applies every rule to every trace found so
+    far, and inserts each circular head into every trace of a finished
+    subtheory again.  The reference ``traces_bruteforce`` is checked
+    against; it puts a head at each place of a trace itself."""
+    if len(theory.atoms) > 8:
+        raise PreconditionError("traces_bruteforce supports at most 8 atoms")
+    std_flat = [(body, head) for head, body, kind in theory.clauses if kind == STANDARD]
+    circ_flat = [(body, head) for head, body, kind in theory.clauses if kind == CIRCULAR]
+
+    @lru_cache(maxsize=None)
+    def saturate(facts: frozenset[str]) -> set[tuple[str, ...]]:
+        rules = std_flat + [(frozenset(), a) for a in facts]
+        traces: set[tuple[str, ...]] = {()}
+        changed = True
+        while changed:
+            changed = False
+            for sigma in list(traces):
+                have = set(sigma)
+                for body, head in rules:
+                    if head not in have and body <= have:
+                        grown = sigma + (head,)
+                        if grown not in traces:
+                            traces.add(grown)
+                            changed = True
+            for body, head in circ_flat:
+                sub = traces if head in facts else saturate(facts | {head})
+                for tau in list(sub):
+                    if body <= set(tau):
+                        for k in range(len(tau) + 1):
+                            merged = tuple(dict.fromkeys(tau[:k] + (head,) + tau[k:]))
+                            if merged not in traces:
+                                traces.add(merged)
+                                changed = True
+        return traces
+
+    return frozenset(saturate(frozenset()))
 
 
 # --- reference for the game-tree referee ------------------------------------

@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from pacta import GoalPayoff, cli, game, parse, print_spec, shy_dancers, spec_of
+from pacta import GoalPayoff, cli, game, oracle, parse, print_spec, shy_dancers, spec_of
 from pacta.cli import main
 from pacta.gen import MAX_SHY_DANCERS_N
 
@@ -296,6 +296,21 @@ class TestOracle:
     def test_oracle_prove_matches_the_fast_command(self, run):
         for name in ("delta1.ces", "delta2.ces", "delta3.ces", "delta4.ces"):
             assert run("oracle", "prove", path(name)) == run("prove", path(name))
+
+    def test_oracle_prove_runs_one_search(self, run, monkeypatch):
+        built = []
+
+        class Counted(oracle._NdSearch):
+            def __init__(self, theory):
+                built.append(theory)
+                super().__init__(theory)
+
+        monkeypatch.setattr(oracle, "_NdSearch", Counted)
+        for name in ("delta1.ces", "star.ces"):
+            built.clear()
+            code, out, _ = run("oracle", "prove", path(name))
+            assert (code, len(built)) == (0, 1)
+        assert out == "".join(f"e{i}\n" for i in range(8))
 
     def test_oracle_traces_matches_the_fast_command(self, run):
         for name in ("delta3.ces", "delta4.ces"):

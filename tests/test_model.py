@@ -20,12 +20,13 @@ from pacta import (
     circ,
     parse,
     print_spec,
+    shy_dancers,
     std,
     validate,
 )
 from pacta.model import Diagnostic, is_reserved_name
 
-from helpers import c1, c3, e5, two_party
+from helpers import c1, c3, e5, read, two_party
 
 
 def codes(diags):
@@ -169,6 +170,23 @@ class TestPayoffs:
         assert p.events() is p.events()
         q = OfferRequestPayoff(p.pairs)
         assert p == q and hash(p) == hash(q) and "_events" not in repr(p)
+
+    def test_loaded_and_generated_pairs_are_kept_as_the_constructor_builds_them(self):
+        # The loader and the generator skip the constructor's checks: each
+        # payoff they build must equal the constructor's from plain lists.
+        loaded = parse(read("or_payoffs.ces")).payoffs
+        built = [*loaded.values(), *shy_dancers(3).payoffs.values()]
+        assert len(built) == 11
+        for payoff in built:
+            rebuilt = OfferRequestPayoff([(list(o), list(r)) for o, r in payoff.pairs])
+            assert type(payoff.pairs) is frozenset
+            assert rebuilt == payoff and hash(rebuilt) == hash(payoff)
+            assert {type(side) for pair in rebuilt.pairs for side in pair} == {frozenset}
+            assert rebuilt.events() == payoff.events()
+        pairs = frozenset({(frozenset("a"), frozenset("bc"))})
+        assert OfferRequestPayoff._trusted(pairs).pairs is pairs
+        with pytest.raises(TypeError, match="request"):
+            OfferRequestPayoff([(["a"], "bc")])
 
 
 class TestContractSpec:
