@@ -22,16 +22,17 @@ import sys
 from collections.abc import Callable
 from pathlib import Path
 
-from . import dsl, game, gen, logic, oracle
+from . import dsl, game, gen, logic, model, oracle
 from .model import ContractSpec, PreconditionError, SpecError, _unknown_event, check_play
 
 
 def _read_text(path: str) -> str:
-    """The text of *path* (``-`` for stdin); unreadable input raises ``OSError``."""
+    """The text of *path* (``-`` for stdin), its bytes strictly decoded as
+    UTF-8 (``sys.stdin`` may use ``surrogateescape``); unreadable input
+    raises ``OSError``."""
     try:
-        if path == "-":
-            return sys.stdin.read()
-        return Path(path).read_text(encoding="utf-8")
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         name = "standard input" if path == "-" else repr(path)
         raise OSError(f"{name} is not UTF-8 text: {exc}") from exc
@@ -212,7 +213,7 @@ def _cmd_encode(args: argparse.Namespace) -> Answer:
         "atoms": sorted(encoded.atoms),
         "clauses": [
             {"head": c.head, "body": sorted(c.body), "kind": c.kind}
-            for c in sorted(encoded.clauses, key=lambda c: (c.head, c.kind, sorted(c.body)))
+            for c in sorted(encoded.clauses, key=model._clause_key)
         ],
     }
     return 0, payload, lambda: [dsl.print_spec(logic.spec_of(encoded)).rstrip("\n")]

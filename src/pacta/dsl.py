@@ -75,15 +75,13 @@ class ParseError(SpecError):
         super().__init__(text)
 
 
-# One payoff form, whole: a goal, or the first offers/requests pair
+# One offers/requests pair: the texts of its two sides (groups 1 and 2).
+_PAIR_RE = re.compile(r"offers\s*\{([^{}]*)\}\s*requests\s*\{([^{}]*)\}", re.A)
+# One payoff form, whole: a goal (group 1), or the sides of the first pair
 # (groups 2 and 3) and the text of any further pairs (group 4).
 _PAYOFF_RE = re.compile(
-    r"goal\s*\{([^{}]*)\}\s*"
-    r"|offers\s*\{([^{}]*)\}\s*requests\s*\{([^{}]*)\}"
-    r"((?:\s*offers\s*\{[^{}]*\}\s*requests\s*\{[^{}]*\})*)\s*",
-    re.A,
+    rf"goal\s*\{{([^{{}}]*)\}}|{_PAIR_RE.pattern}((?:\s*{_PAIR_RE.pattern})*)", re.A
 )
-_PAIR_RE = re.compile(r"offers\s*\{([^{}]*)\}\s*requests\s*\{([^{}]*)\}", re.A)
 
 _DIRECTIVES = ("agent", "clause", "conflict", "payoff")
 # The arrows of a clause line, each with the kind of clause it makes.
@@ -181,7 +179,7 @@ def _form(text: str) -> tuple[bool, list[list[str]]] | None:
     match = _PAYOFF_RE.fullmatch(text.strip())
     if match is None:
         return None
-    goal, offers, requests, more = match.groups()
+    goal, offers, requests, more = match.group(1, 2, 3, 4)
     if goal is not None:
         return True, [goal.split()]
     sides = [offers.split(), requests.split()]

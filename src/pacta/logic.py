@@ -49,6 +49,7 @@ from .model import (
     _clause_key,
     _clause_set,
     _event_set,
+    _refuse_unknown,
     is_reserved_name,
 )
 
@@ -117,11 +118,10 @@ def theory_of(spec: ContractSpec) -> HornTheory:
     return theory
 
 
-def spec_of(theory: HornTheory, participant: str = "T") -> ContractSpec:
-    """Wrap a theory as a single-participant contract (for printing and play)."""
-    return ContractSpec.of(
-        owner={a: participant for a in theory.atoms}, clauses=theory.clauses
-    )
+def spec_of(theory: HornTheory) -> ContractSpec:
+    """Wrap a theory as a contract whose one participant ``T`` owns every
+    atom (for printing and play)."""
+    return ContractSpec.of(owner={a: "T" for a in theory.atoms}, clauses=theory.clauses)
 
 
 def provable_atoms(theory: HornTheory) -> frozenset[str]:
@@ -196,9 +196,7 @@ def is_proof_trace(theory: HornTheory, trace: Sequence[str]) -> bool:
         raise TypeError("the trace is a string, not a sequence of atoms")
     seq = tuple(trace)
     atoms = frozenset(seq)
-    unknown = atoms - theory.atoms
-    if unknown:
-        raise PreconditionError(f"unknown atoms: {', '.join(sorted(unknown))}")
+    _refuse_unknown(atoms, theory.atoms, "atoms")
     return len(atoms) == len(seq) and not _rules(theory).unjustified(seq)
 
 
@@ -265,7 +263,5 @@ def urgent_atoms(theory: HornTheory, done: Iterable[str]) -> frozenset[str]:
     ``test_c07``/``test_c08`` hold the encoding to it.
     """
     performed = _event_set(done, "the past")
-    unknown = performed - theory.atoms
-    if unknown:
-        raise PreconditionError(f"unknown atoms: {', '.join(sorted(unknown))}")
+    _refuse_unknown(performed, theory.atoms, "atoms")
     return _rules(theory).next_events(performed)

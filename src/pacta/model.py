@@ -195,13 +195,8 @@ class OfferRequestPayoff:
     def __post_init__(self) -> None:
         if isinstance(self.pairs, str):
             raise TypeError("OfferRequestPayoff.pairs is a string, not a set of pairs")
-        # A side that is a frozenset already, as a loaded one is, is kept.
         pairs = frozenset(
-            (
-                o if type(o) is frozenset else _event_set(o, "an offer"),
-                r if type(r) is frozenset else _event_set(r, "a request"),
-            )
-            for o, r in self.pairs
+            (_event_set(o, "an offer"), _event_set(r, "a request")) for o, r in self.pairs
         )
         object.__setattr__(self, "pairs", pairs)
 
@@ -335,15 +330,19 @@ class ContractSpec:
         return all(partners[x].isdisjoint(done) for x in done if x in partners)
 
 
-def _clause_key(c: Clause) -> tuple:
-    """Where :func:`validate` puts the findings about clause *c*."""
-    return (4, c.head, c.kind, tuple(sorted(c.body)))
+def _clause_key(c: Clause) -> tuple[str, str, tuple[str, ...]]:
+    """The one order of clauses: by head, then by kind (``circular`` before
+    ``standard``, as the words sort), then by sorted body.  Findings and
+    refusals about clauses come in this order, the natural-deduction search
+    tries clauses in it, and ``encode --json`` lists them in it."""
+    head, body, kind = c
+    return head, kind, tuple(sorted(body))
 
 
 def conflicting_clauses(spec: ContractSpec) -> list[tuple[tuple, Diagnostic]]:
-    """The ``conflicting-clause`` findings of *spec*, each with the sort key
-    of its clause, in key order: every clause whose body holds both events
-    of a conflict.  A spec without conflicts has none.
+    """The ``conflicting-clause`` findings of *spec*, each with the
+    :func:`_clause_key` of its clause, in that order: every clause whose
+    body holds both events of a conflict.  A spec without conflicts has none.
     """
     if not spec.conflicts:
         return []
@@ -392,13 +391,14 @@ def validate(spec: ContractSpec) -> list[Diagnostic]:
     for c in spec.clauses:
         head, body, _ = c
         if head not in events:
-            bad(_clause_key(c), "unknown-event", f"clause head {head!r} is not a declared event")
+            message = f"clause head {head!r} is not a declared event"
+            bad((4, _clause_key(c)), "unknown-event", message)
         if not body <= events:
             for b in sorted(body - events):
                 message = f"clause for {head!r} uses undeclared event {b!r}"
-                bad(_clause_key(c), "unknown-event", message)
+                bad((4, _clause_key(c)), "unknown-event", message)
     for key, finding in conflicting_clauses(spec):
-        found.setdefault(key, []).append(finding)
+        found.setdefault((4, key), []).append(finding)
 
     for pair in spec.conflicts:
         for e in sorted(pair - events):
@@ -452,12 +452,18 @@ def check_play(spec: ContractSpec, play: Iterable[str]) -> tuple[str, ...]:
     raise AssertionError("unreachable: the whole-set checks accept every valid play")
 
 
+def _refuse_unknown(names: frozenset[str], known: frozenset[str], noun: str) -> None:
+    """Refuse *names* outside *known* with a :class:`PreconditionError` that
+    lists them, sorted, as ``unknown <noun>: ...``."""
+    unknown = names - known
+    if unknown:
+        raise PreconditionError(f"unknown {noun}: {', '.join(sorted(unknown))}")
+
+
 def check_event_set(spec: ContractSpec, events: Iterable[str]) -> frozenset[str]:
     """Validate *events* as a conflict-free subset of the contract's events."""
     X = _event_set(events, "the event set")
-    unknown = X - spec.events
-    if unknown:
-        raise PreconditionError(f"unknown events: {', '.join(sorted(unknown))}")
+    _refuse_unknown(X, spec.events, "events")
     if not spec.compatible(X):
         raise PreconditionError("event set contains a conflicting pair")
     return X

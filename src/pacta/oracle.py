@@ -43,6 +43,7 @@ from .model import (
     Clause,
     ContractSpec,
     PreconditionError,
+    _clause_key,
     check_play,
 )
 from .logic import HornTheory, Trace
@@ -92,12 +93,6 @@ class Derivation:
         return f"Derivation({self.goal!r}, {self.rule!r}, {[p.goal for p in self.premises]})"
 
 
-def _clause_order(c: Clause) -> tuple[str, str, list[str]]:
-    """The order ``_NdSearch`` tries clauses in: head, kind, sorted body."""
-    head, body, kind = c
-    return head, kind, sorted(body)
-
-
 class _NdSearch:
     """Forward chaining per assumption set, recursing only into larger sets.
     Guarded at 12 atoms."""
@@ -107,7 +102,7 @@ class _NdSearch:
             raise PreconditionError(
                 "natural-deduction search supports at most 12 atoms"
             )
-        self.clauses = sorted(theory.clauses, key=_clause_order)
+        self.clauses = sorted(theory.clauses, key=_clause_key)
         self.memo: dict[frozenset[str], frozenset[str]] = {}
         # (assumptions, atom) -> clause that first derived the atom there
         self.fired_by: dict[tuple[frozenset[str], str], Clause] = {}

@@ -20,8 +20,12 @@ def path(name):
 @pytest.fixture
 def run(capsys, monkeypatch):
     def invoke(*argv, stdin=None):
+        """Run the CLI; *stdin*, text or bytes, is fed as a C or C.UTF-8
+        locale hands it to Python: undecodable bytes become surrogates."""
         if stdin is not None:
-            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            data = stdin if isinstance(stdin, bytes) else stdin.encode()
+            wrapper = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+            monkeypatch.setattr("sys.stdin", wrapper)
         code = main(list(argv))
         captured = capsys.readouterr()
         return code, captured.out, captured.err
@@ -339,13 +343,38 @@ class TestErrorChannel:
         assert err.startswith("error:")
 
     def test_non_utf8_file_is_unreadable_input(self, run, tmp_path):
+        """A path and ``-`` are refused alike: the same exit and error line,
+        the source's name aside, for a bad byte in a name or in a comment."""
         bad = tmp_path / "bad.ces"
-        bad.write_bytes(b"agent A\nclause a \xff\n")
+        for data in (b"agent A\nclause a \xff\n", b"agent A owns a\n# caf\xe9\nclause a\n"):
+            bad.write_bytes(data)
+            for command in ("validate", "prove"):
+                code, out, err = run(command, str(bad))
+                assert (code, out) == (2, "")
+                [line] = err.splitlines()
+                assert line.startswith(f"error: {str(bad)!r} is not UTF-8 text:")
+                from_stdin = err.replace(repr(str(bad)), "standard input")
+                assert run(command, "-", stdin=data) == (2, "", from_stdin)
+
+    def test_a_path_and_stdin_read_the_same(self, run, tmp_path):
+        """Every fixture, and a CRLF and a BOM copy of one, answers alike
+        through its path and through ``-``; the copies answer as the
+        original does."""
+        files = {p.name: p.read_bytes() for p in sorted(DATA.glob("*.ces"))}
+        original = files["broken.ces"]
+        copies = {
+            "crlf.ces": original.replace(b"\n", b"\r\n"),
+            "bom.ces": b"\xef\xbb\xbf" + original,
+        }
+        for name, data in copies.items():
+            (tmp_path / name).write_bytes(data)
         for command in ("validate", "prove"):
-            code, out, err = run(command, str(bad))
-            assert (code, out) == (2, "")
-            [line] = err.splitlines()
-            assert line.startswith("error:") and str(bad) in line
+            for name, data in {**files, **copies}.items():
+                file = tmp_path / name if name in copies else DATA / name
+                answer = run("--json", command, str(file))
+                assert run("--json", command, "-", stdin=data) == answer, (command, name)
+                if name in copies:
+                    assert answer == run("--json", command, path("broken.ces")), (command, name)
 
     def test_a_failed_write_exits_two(self, capsys, monkeypatch):
         class FullDisk(io.StringIO):

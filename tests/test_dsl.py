@@ -61,10 +61,10 @@ class TestDataFiles:
         assert parse(read("delta2_contract.ces")) == delta2_contract()
 
     def test_theory_files_parse_to_the_reference_theories(self):
-        assert parse(read("delta1.ces")) == spec_of(delta1(), "T")
-        assert parse(read("delta2.ces")) == spec_of(delta2(), "T")
-        assert parse(read("delta3.ces")) == spec_of(delta3(), "T")
-        assert parse(read("delta4.ces")) == spec_of(delta4(), "T")
+        assert parse(read("delta1.ces")) == spec_of(delta1())
+        assert parse(read("delta2.ces")) == spec_of(delta2())
+        assert parse(read("delta3.ces")) == spec_of(delta3())
+        assert parse(read("delta4.ces")) == spec_of(delta4())
 
     def test_broken_file_reports_every_problem(self):
         assert diag_codes(read("broken.ces")) == {
@@ -294,7 +294,7 @@ class TestPrinterMatchesTheReference:
             if path.name != "broken.ces":
                 self.assert_same(parse(read(path.name)))
         for spec in (c1(), c2(), c3(), c4(), e5(), star_spec(), or_payoffs_spec(),
-                     delta2_contract(), spec_of(delta3(), "T")):
+                     delta2_contract(), spec_of(delta3())):
             self.assert_same(spec)
         rng = random.Random(2611)
         specs = [random_spec(rng, max_events=7, allow_conflicts=True) for _ in range(2_000)]
@@ -352,7 +352,7 @@ class TestRoundTrip:
             star_spec(),
             or_payoffs_spec(),
             delta2_contract(),
-            spec_of(delta3(), "T"),
+            spec_of(delta3()),
         ):
             back = parse(print_spec(spec))
             assert back == spec

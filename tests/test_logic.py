@@ -146,7 +146,7 @@ class TestHornTheory:
                 gc.enable()
 
     def test_spec_of_wraps_single_participant(self):
-        spec = spec_of(delta1(), "T")
+        spec = spec_of(delta1())
         assert spec.participants == frozenset({"T"})
         assert spec.owner == {"a": "T", "b": "T"}
         assert theory_of(spec) == delta1()

@@ -24,7 +24,7 @@ from pacta import (
     std,
     validate,
 )
-from pacta.model import Diagnostic, is_reserved_name
+from pacta.model import Diagnostic, _clause_key, is_reserved_name
 
 from helpers import c1, c3, e5, read, two_party
 
@@ -446,6 +446,18 @@ class TestValidate:
         spec = dataclasses.replace(spec, payoffs={**spec.payoffs, "A": OfferRequestPayoff(())})
         assert [(d.code, d.message) for d in validate(spec)] == [
             ("bad-payoff", "payoff for 'A' has no offers/requests pair")
+        ]
+
+    def test_the_clause_order_puts_circular_before_standard_for_equal_heads(self):
+        # Findings, the theory's refusals, the natural-deduction search and
+        # encode --json all read this one order.
+        clauses = [std("b"), std("a", "c"), circ("a", "d"), std("a", "b"), circ("a")]
+        want = [circ("a"), circ("a", "d"), std("a", "b"), std("a", "c"), std("b")]
+        assert sorted(clauses, key=_clause_key) == want
+        spec = ContractSpec.of(owner={"a": "A"}, clauses=[std("a", "x"), circ("a", "y")])
+        assert [d.message for d in validate(spec)] == [
+            "clause for 'a' uses undeclared event 'y'",
+            "clause for 'a' uses undeclared event 'x'",
         ]
 
 

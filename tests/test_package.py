@@ -23,6 +23,7 @@ def test_exports_resolve_and_removed_names_are_gone():
         (model, "ensure_valid"),
         (game.RuleIndex, "prudent"),
         (game, "_checked_events"),
+        (oracle, "_clause_order"),
     ):
         assert not hasattr(module, name), name
     assert oracle.RULES == ("Id", "ArrowE", "CArrowE")

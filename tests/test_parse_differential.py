@@ -398,7 +398,7 @@ def large_files():
     for n in range(4, 11):
         yield print_spec(shy_dancers(n))
         yield print_spec(shy_dancers(n, CORNER))
-    yield print_spec(spec_of(standard_chain(4_096), "T"))
+    yield print_spec(spec_of(standard_chain(4_096)))
 
 
 def conflicted_grids():
