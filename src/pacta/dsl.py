@@ -340,9 +340,14 @@ def _findings(text: str) -> list[Diagnostic]:
     def report(code: str, message: str, number: int, col: int | None = None) -> None:
         diags.append(Diagnostic(code, message, number, col))
 
+    verdicts: dict[str, bool] = {}  # each distinct token is matched once
+
     def good_name(token: str, number: int, at_column: bool = False) -> bool:
         """Check *token*; a finding gets the column of *token* in its line, if asked."""
-        if NAME_RE.match(token):
+        good = verdicts.get(token)
+        if good is None:
+            good = verdicts[token] = NAME_RE.match(token) is not None
+        if good:
             return True
         col = lines[number - 1].index(token) + 1 if at_column else None
         report(_bad_name_code(token), f"{token!r} is not a valid name", number, col)

@@ -22,14 +22,16 @@ natural-deduction search (:func:`nd_provable`, :func:`nd_derivable`,
 and :func:`prudence_bruteforce`.  They exist to be obviously correct, not
 fast.  Two of them skip repeated work where an argument shows that no
 answer changes.  The trace referee applies each rule to each trace once,
-since each rule consumes one trace (the argument is in
+since each rule consumes one trace, and skips the circular clauses whose
+head is already a fact, which only find traces again (the arguments are in
 :func:`traces_bruteforce`).  The prudence referee solves the game tree's
 quotient by "same event set, same final ledger", whose classes have
-matching subtrees, so no entry changes (the argument is in
-:func:`prudence_table`); :func:`prudence_bruteforce` solves only the states
-below its play, which is exact because an entry reads nothing outside its
-play's subtree.  The tests hold each of the two to the naive version it
-replaced, and the lookup to the table.
+matching subtrees, so no play's entry changes, and :func:`prudence_table`
+returns that table on states (the argument is in its docstring);
+:func:`prudence_bruteforce` solves only the states below its play, which is
+exact because an entry reads nothing outside its play's subtree.  The tests
+hold each of the two to the naive version it replaced, read per play, and
+the lookup to the table.
 """
 
 from __future__ import annotations
@@ -230,9 +232,22 @@ def traces_bruteforce(theory: HornTheory) -> frozenset[Trace]:
     least set is reached by applying each rule to each trace once, as soon
     as the trace is found (semi-naive evaluation).  A circular head that is
     not yet a fact reads the traces of a subtheory with strictly more facts,
-    saturated already, so those insertions are made once, up front.  A
-    circular head that is a fact reads this theory's own traces, so those
-    insertions join the extension of each new trace."""
+    saturated already, so those insertions are made once, up front.
+
+    A circular clause whose head ``h`` is already a fact is not applied: it
+    would read this theory's own traces and only find them again.  Every
+    insertion of a fact ``h`` into a trace is a trace without that rule, by
+    induction over how the trace was made.  Into ``()`` it is ``(h,)``, which
+    the fact appends.  Into ``rho + (x,)``, where a rule appended ``x``, it
+    is that trace itself, that trace with ``h`` appended (the fact again),
+    an insertion into ``rho`` (when ``x`` is ``h``), or one with ``x``
+    appended by the same rule, whose body ``rho`` still holds.  Into an
+    insertion of a circular head ``c != h`` into a trace ``tau`` of the
+    subtheory with fact ``c``, which has ``h`` as a fact too, it is an
+    insertion of ``c`` into an insertion of ``h`` into ``tau``: the two
+    insertions commute (the tests check it on every trace of up to four of
+    five atoms), and the inner one is a trace of the subtheory by
+    induction that still holds the clause's body."""
     if len(theory.atoms) > 8:
         raise PreconditionError("traces_bruteforce supports at most 8 atoms")
     std_flat = [(body, head) for head, body, kind in theory.clauses if kind == STANDARD]
@@ -241,9 +256,6 @@ def traces_bruteforce(theory: HornTheory) -> frozenset[Trace]:
     @lru_cache(maxsize=None)
     def saturate(facts: frozenset[str]) -> set[Trace]:
         rules = std_flat + [(frozenset(), a) for a in facts]
-        # Adding an already-present fact changes nothing, so for these
-        # clauses the subtheory is this one.
-        own = [(body, head) for body, head in circ_flat if head in facts]
         traces: set[Trace] = {()}
         for body, head in circ_flat:
             if head not in facts:
@@ -255,9 +267,6 @@ def traces_bruteforce(theory: HornTheory) -> frozenset[Trace]:
             sigma = new.pop()
             have = set(sigma)
             grown = {sigma + (head,) for body, head in rules if head not in have and body <= have}
-            for body, head in own:
-                if body <= have:
-                    grown |= _insertions(sigma, head)
             grown -= traces
             traces |= grown
             new += grown
@@ -334,6 +343,10 @@ class _Game:
         self.by_set: dict[frozenset[str], list[tuple[str, str, frozenset[str], int, int]]] = {}
         self.by_state: dict[State, Steps] = {}
 
+    def ledger(self, mask: int) -> frozenset[str]:
+        """The events of a ledger mask."""
+        return frozenset(e for e in self.events if mask & self.bit[e])
+
     def justified(self, kind: str, done: frozenset[str]) -> int:
         """The mask of the heads of the *kind* clauses with a body inside *done*."""
         found = 0
@@ -408,13 +421,16 @@ class _Game:
 
 def prudence_table(
     spec: ContractSpec,
-) -> dict[tuple[str, ...], frozenset[str]]:
-    """Prudent events after every play of the spec, by game-tree analysis.
+) -> dict[tuple[frozenset[str], frozenset[str]], frozenset[str]]:
+    """Prudent events at every state of the spec's game, by game-tree analysis.
 
-    The table maps every play (a repetition-free sequence of events whose
-    prefixes are all conflict-free) to the events prudent right after it.
-    An event ``e`` fireable after play ``p``, owned by ``A``, is prudent when
-    ``A`` can count on getting back to its ledger at ``p``: in the tree below
+    A play is a repetition-free sequence of events whose prefixes are all
+    conflict-free.  Its state is its event set and its final ledger, what
+    :func:`_final_credits` returns for it; the table maps each state some
+    play reaches, ``(frozenset(play), _final_credits(spec, play))``, to the
+    events prudent right after every play that reaches it.  An event ``e``
+    fireable after play ``p``, owned by ``A``, is prudent when ``A`` can
+    count on getting back to its ledger at ``p``: in the tree below
     ``p + (e,)``, until a play is reached whose final ledger holds no event
     of ``A`` beyond the ledger of ``p``, every move of another participant
     keeps this so, and wherever the others are done (every event still
@@ -423,17 +439,16 @@ def prudence_table(
     the result is the greatest table for which the definition holds.
     Conflicts are fully supported.  Guarded at 6 events.
 
-    The game is solved on states, not plays, and that changes no entry.  A
-    state is a play's event set and its final ledger, what
-    :func:`_final_credits` returns for it.  Two plays with the same state
-    have the same fireable events, and their children's ledgers agree: the
-    new event joins the ledger unless a standard body done before it
-    justifies it, then whatever a circular body inside the grown set
-    justifies leaves it (an earlier event's past is fixed, and circular
-    justification only grows with the set).  So their subtrees match move
-    for move and ledger for ledger, the relation "same state" is a
-    bisimulation, and the greatest table gives both plays the same entries.
-    At most 3^6 states stand for up to 1,957 plays.
+    The game is solved on states, not plays, and that changes no play's
+    entry.  Two plays with the same state have the same fireable events,
+    and their children's ledgers agree: the new event joins the ledger
+    unless a standard body done before it justifies it, then whatever a
+    circular body inside the grown set justifies leaves it (an earlier
+    event's past is fixed, and circular justification only grows with the
+    set).  So their subtrees match move for move and ledger for ledger, the
+    relation "same state" is a bisimulation, and the greatest table on
+    plays gives both plays the same entries.  At most 3^6 states stand for
+    up to 1,957 plays.
 
     Judging starts from "every fireable event is prudent" and drops, pass
     by pass, every entry that fails against the current table, until a
@@ -443,11 +458,10 @@ def prudence_table(
     is safe for an actor with a given exposed mask is worked out once.
     """
     game = _Game(spec)
-    table = game.solve(game.root)
-    plays = [((), game.root)]
-    for play, state in plays:
-        plays.extend((play + (e,), child) for e, (_, child) in game.by_state[state].items())
-    return {play: table[state] for play, state in plays}
+    return {
+        (done, game.ledger(mask)): entry
+        for (done, mask), entry in game.solve(game.root).items()
+    }
 
 
 def prudence_bruteforce(

@@ -31,6 +31,7 @@ from pacta import (
     PreconditionError,
     circ,
     is_prudent_play,
+    prudence_table,
     std,
 )
 from pacta.game import _rules
@@ -339,6 +340,29 @@ def traces_bruteforce_reference(theory: HornTheory) -> frozenset[tuple[str, ...]
 
 
 # --- reference for the game-tree referee ------------------------------------
+
+
+def all_plays(spec: ContractSpec) -> list[tuple[str, ...]]:
+    """Every play of the spec, shortest first: the repetition-free
+    sequences of events whose prefixes are all conflict-free."""
+    events = sorted(spec.events)
+    out: list[tuple[str, ...]] = [()]
+    for play in out:
+        for e in events:
+            if e not in play and spec.compatible(frozenset(play) | {e}):
+                out.append(play + (e,))
+    return out
+
+
+def prudence_by_play(spec: ContractSpec) -> dict[tuple[str, ...], frozenset[str]]:
+    """``prudence_table(spec)`` read per play: each play looked up by its
+    state, its event set and final ledger.  The plays must reach every state
+    of the table."""
+    table = prudence_table(spec)
+    bodies = _bodies_by_head(spec)
+    states = {p: (frozenset(p), _final_credits(spec, p, bodies)) for p in all_plays(spec)}
+    assert set(states.values()) == set(table), spec
+    return {p: table[state] for p, state in states.items()}
 
 
 def prudence_table_reference(

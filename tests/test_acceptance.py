@@ -47,10 +47,11 @@ from pacta.cli import main
 from pacta.game import _rules
 from pacta.gen import _neighbours
 from pacta.logic import interleave, mark_done, mark_reachable, mark_urgent
-from pacta.oracle import _final_credits
+from pacta.oracle import _bodies_by_head, _final_credits
 
 from helpers import (
     STAR_CLAUSES,
+    all_plays,
     budget,
     c1,
     c2,
@@ -251,19 +252,19 @@ def test_c07_prudence_urgency_and_bruteforce_coincide():
     slot, sparse = exhaustive_families()
 
     # All three answers at every past, on every theory: the game fixpoint,
-    # the tag encoding, and the full game-tree table.
+    # the tag encoding, and the full game-tree table, whose states (event
+    # set, final ledger) stand for every play that reaches them.
     for th in itertools.chain(slot, sparse, random_theories()):
         spec = spec_of(th)
         enc = encode_urgency(th)
         by_set = {}
-        for play, brute in prudence_table(spec).items():
-            past = frozenset(play)
+        for (past, ledger), brute in prudence_table(spec).items():
             pe = by_set.get(past)
             if pe is None:
                 pe = prudent_events(spec, past)
                 assert pe == tagged_urgent(enc, th.atoms, past), (th, past)
                 by_set[past] = pe
-            assert brute == pe, (th, play)
+            assert brute == pe, (th, past, ledger)
 
     # Fourth opinion from trace enumeration, on strided slices (the trace
     # sets of fact-extended theories grow exponentially with atom count).
@@ -378,8 +379,8 @@ def oracle_rows(spec, play, pending, final):
     """``(innocent, credit_free, wins)`` of every participant, from the
     definition; ``wins`` is None for a participant without a payoff.
 
-    *pending* is the game-tree prudence table's entry for *play* and *final*
-    the oracle's credit ledger of it.
+    *pending* is the game-tree prudence table's entry for *play*'s state
+    and *final* the oracle's credit ledger of it.
     """
     done = frozenset(play)
     culpable = {q for q in spec.participants if pending & spec.owned_by(q)}
@@ -404,8 +405,14 @@ def test_c13_verdicts_match_the_oracles_on_multi_party_specs():
         partial += not total
         parties = max(parties, len(spec.participants))
         table = prudence_table(spec)
-        for play, pending in table.items():
-            rows = oracle_rows(spec, play, pending, _final_credits(spec, play))
+        rows_at = {}
+        bodies = _bodies_by_head(spec)
+        state = {}
+        for play in all_plays(spec):  # shortest first, so its prefixes come first
+            here = state[play] = frozenset(play), _final_credits(spec, play, bodies)
+            rows = rows_at.get(here)
+            if rows is None:
+                rows = rows_at[here] = oracle_rows(spec, play, table[here], here[1])
             for p, (inn, cf, won) in rows.items():
                 assert innocent(spec, p, play) == inn, (spec, play, p)
                 assert credit_free(spec, p, play) == cf, (spec, play, p)
@@ -422,6 +429,7 @@ def test_c13_verdicts_match_the_oracles_on_multi_party_specs():
             else:
                 with pytest.raises(PreconditionError, match="payoff"):
                     verdict(spec, play)
-            prudent = all(play[i] in table[play[:i]] for i in range(len(play)))
+            prudent = all(play[i] in table[state[play[:i]]] for i in range(len(play)))
             assert is_prudent_play(spec, play) == prudent, (spec, play)
+        assert set(rows_at) == set(table), spec
     assert partial and parties == 3

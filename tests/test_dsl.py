@@ -13,6 +13,7 @@ from pacta import (
     ParseError,
     analyze,
     circ,
+    dsl,
     encode_urgency,
     parse,
     print_spec,
@@ -201,6 +202,37 @@ class TestDiagnostics:
     def test_residual_structural_check_runs_after_parsing(self):
         text = "agent A owns a b c\nclause a <- b, c\nconflict b c\n"
         assert diag_codes(text) == {"conflicting-clause"}
+
+    def test_each_distinct_name_is_checked_once(self, monkeypatch):
+        # A bad name in every kind of line, good names repeated: each
+        # distinct token meets NAME_RE once, and each bad occurrence is
+        # still reported at its own line (and column, for a line's first name).
+        text = (
+            "agent A owns a b\n"
+            "clause a <- b\n"
+            "clause b <<- a, 9x\n"
+            "agent 9x owns c\n"
+            "clause 9x <- a, b\n"
+            "conflict a 9x\n"
+            "payoff A offers {a b} requests {a 9x}\n"
+            "payoff A offers {a b} requests {b c}\n"
+            "agent B owns c\n"
+        )
+        checked = []
+        name_re = dsl.NAME_RE
+
+        class Counted:
+            def match(self, token):
+                checked.append(token)
+                return name_re.match(token)
+
+        monkeypatch.setattr(dsl, "NAME_RE", Counted())
+        _, diags = analyze(text)
+        assert sorted(checked) == ["9x", "A", "B", "a", "b", "c"]
+        assert [(d.code, d.message, d.line, d.column) for d in diags] == [
+            ("bad-identifier", "'9x' is not a valid name", line, column)
+            for line, column in ((3, None), (4, 7), (5, 8), (6, None), (7, None))
+        ]
 
     def test_diagnostics_carry_line_numbers(self):
         _, diags = analyze("agent A owns a\n\nwidget q\n")
