@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .game import _rules
+from .game import _require_conflict_free, _rules
 from .model import (
     CIRCULAR,
     STANDARD,
@@ -106,10 +106,7 @@ def theory_of(spec: ContractSpec) -> HornTheory:
     queries on the spec and logic queries on its theory share one index,
     whichever of the two asks first.  The theory holds no reference back to
     the spec."""
-    if spec.conflicts:
-        raise PreconditionError(
-            "only conflict-free specifications have a Horn theory reading"
-        )
+    _require_conflict_free(spec, "the Horn theory reading")
     theory = spec.__dict__.get("_theory")
     if theory is None:
         theory = HornTheory(atoms=spec.events, clauses=spec.clauses)

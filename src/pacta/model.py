@@ -216,13 +216,10 @@ class OfferRequestPayoff:
             return False
         return any(req <= done for _, req in self.pairs)
 
-    @cached_property
-    def _events(self) -> frozenset[str]:
-        return frozenset(chain.from_iterable(chain(*self.pairs)))
-
     def events(self) -> frozenset[str]:
-        """Every event of every pair, collected once per value."""
-        return self._events
+        """Every event of every pair, offers and requests, collected anew on
+        each call."""
+        return frozenset(chain.from_iterable(chain(*self.pairs)))
 
 
 Payoff = GoalPayoff | OfferRequestPayoff

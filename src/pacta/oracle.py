@@ -320,28 +320,33 @@ Steps = dict[str, tuple[str, State]]  # fireable event -> (its owner, next state
 
 
 class _Game:
-    """The states of one spec's game, each with its steps, found on demand.
+    """The states of one spec's game, each with its steps, built on demand.
 
-    What depends only on an event set is computed once per set: for each
-    fireable event ``e``, its owner, the grown set, the mask of ``e`` (0 when
-    a standard body inside the set justifies ``e``) and the mask of the atoms
-    a circular body inside the grown set justifies."""
+    Nothing is kept between calls: :meth:`solve` asks for each state's steps
+    once, and a state's steps read only its event set and ledger.  The spec
+    is checked for what the game reads, every event owned by a participant
+    and every clause head an event, before any state is built; an owner
+    entry for an undeclared event is not read."""
 
     root: State = (frozenset(), 0)  # the empty play's
 
     def __init__(self, spec: ContractSpec):
         if len(spec.events) > 6:
-            raise PreconditionError("prudence_table supports at most 6 events")
+            raise PreconditionError("the prudence referee supports at most 6 events")
         self.spec = spec
         self.events = sorted(spec.events)
+        for e in self.events:
+            if (owner := spec.owner.get(e)) not in spec.participants:
+                whose = "no owner" if owner is None else f"the undeclared owner {owner!r}"
+                raise PreconditionError(f"event {e!r} has {whose}")
+        if strays := {c.head for c in spec.clauses} - spec.events:
+            raise PreconditionError(f"clause head {min(strays)!r} is not a declared event")
         self.bit = {e: 1 << i for i, e in enumerate(self.events)}
-        self.owned = {a: spec.owned_by(a) for a in spec.participants}
+        self.owned = {a: spec.owned_by(a) & spec.events for a in spec.participants}
         self.owned_mask = {a: sum(map(self.bit.get, self.owned[a])) for a in spec.participants}
         self.rules: dict[str, list[tuple[frozenset[str], int]]] = {STANDARD: [], CIRCULAR: []}
         for head, body, kind in spec.clauses:
             self.rules[kind].append((body, self.bit[head]))
-        self.by_set: dict[frozenset[str], list[tuple[str, str, frozenset[str], int, int]]] = {}
-        self.by_state: dict[State, Steps] = {}
 
     def ledger(self, mask: int) -> frozenset[str]:
         """The events of a ledger mask."""
@@ -356,22 +361,20 @@ class _Game:
         return found
 
     def steps(self, state: State) -> Steps:
-        known = self.by_state.get(state)
-        if known is None:
-            done, ledger = state
-            if done not in self.by_set:
-                spec = self.spec
-                std = self.justified(STANDARD, done)
-                self.by_set[done] = [
-                    (e, spec.owner[e], grown, self.bit[e] & ~std, self.justified(CIRCULAR, grown))
-                    for e in self.events
-                    if e not in done and spec.compatible(grown := done | {e})
-                ]
-            known = self.by_state[state] = {
-                e: (actor, (grown, (ledger | joins) & ~circ))
-                for e, actor, grown, joins, circ in self.by_set[done]
-            }
-        return known
+        """Each event fireable at *state*, with its owner and the next state:
+        the event joins the ledger unless a standard body inside the event
+        set justifies it, then what a circular body inside the grown set
+        justifies leaves the ledger."""
+        done, ledger = state
+        std = self.justified(STANDARD, done)
+        return {
+            e: (
+                self.spec.owner[e],
+                (grown, (ledger | (self.bit[e] & ~std)) & ~self.justified(CIRCULAR, grown)),
+            )
+            for e in self.events
+            if e not in done and self.spec.compatible(grown := done | {e})
+        }
 
     def solve(self, start: State) -> dict[State, frozenset[str]]:
         """The prudent events at *start* and at every state below it."""

@@ -26,7 +26,6 @@ from pacta import (
     is_proof_trace,
     is_prudent_play,
     iter_proof_traces,
-    nd_provable,
     print_spec,
     proof_traces,
     provable_atoms,
@@ -47,7 +46,7 @@ from pacta.cli import main
 from pacta.game import _rules
 from pacta.gen import _neighbours
 from pacta.logic import interleave, mark_done, mark_reachable, mark_urgent
-from pacta.oracle import _bodies_by_head, _final_credits
+from pacta.oracle import _bodies_by_head, _final_credits, nd_derivable
 
 from helpers import (
     STAR_CLAUSES,
@@ -244,8 +243,7 @@ def test_c06_forward_chaining_matches_natural_deduction():
     with budget(120):
         slot, sparse = exhaustive_families()
         for th in itertools.chain(slot, sparse, random_theories()):
-            fast = provable_atoms(th)
-            assert fast == {a for a in th.atoms if nd_provable(th, a)}, th
+            assert provable_atoms(th) == nd_derivable(th), th
 
 
 def test_c07_prudence_urgency_and_bruteforce_coincide():
@@ -282,23 +280,20 @@ def test_c08_urgency_encoding_theorem_holds():
     slot, sparse = exhaustive_families()
 
     # An atom is urgent exactly when its U$ tag becomes provable after
-    # marking the past done — checked against the game-side fixpoint on
-    # every theory, and against urgent_atoms itself on a stride.
+    # marking the past done.  test_c07 holds the tags to the game-side
+    # fixpoint at every past of every theory of these families; here they
+    # meet urgent_atoms itself, and natural deduction, on strides.
     for idx, th in enumerate(itertools.chain(slot, sparse[::4])):
+        if idx % 10:
+            continue
         enc = encode_urgency(th)
-        spec = spec_of(th)
         for past in all_pasts(th.atoms):
-            tags = tagged_urgent(enc, th.atoms, past)
-            assert tags == prudent_events(spec, past), (th, past)
-            if idx % 10 == 0:
-                assert tags == urgent_atoms(th, past), (th, past)
+            assert tagged_urgent(enc, th.atoms, past) == urgent_atoms(th, past), (th, past)
             if idx % 20 == 0:
                 ext = HornTheory(
                     enc.atoms, frozenset(enc.clauses) | {std("!" + a) for a in past}
                 )
-                assert provable_atoms(ext) == {
-                    t for t in ext.atoms if nd_provable(ext, t)
-                }, (th, past)
+                assert provable_atoms(ext) == nd_derivable(ext), (th, past)
 
     # The R$ tags answer reachability: exactly the atoms occurring in at
     # least one proof trace.
@@ -350,7 +345,6 @@ def test_c11_proof_traces_are_the_prudent_plays_with_empty_ledgers():
     slot, sparse = exhaustive_families()
     for th in itertools.chain(slot, sparse):
         brute = traces_bruteforce(th)
-        assert proof_traces(th) == brute, th
         assert list(iter_proof_traces(th)) == sorted(brute, key=shortlex), th
         for k in range(len(th.atoms) + 1):
             for seq in itertools.permutations(sorted(th.atoms), k):
